@@ -10,9 +10,10 @@
 //	ftrepair -server http://localhost:8727 -case ba -n 3
 //
 // With -server the same flag set describes the same job, but it runs on a
-// remote ftrepaird (or cluster coordinator) instead of in-process: the spec
-// is POSTed, progress is followed over the event stream (-v prints phases),
-// and the verified report is rendered locally. -protocol needs the compiled
+// remote ftrepaird instead of in-process: the spec is POSTed with the engine
+// and cost options in its structured engine and cost objects, progress is
+// followed over the event stream (-v prints phases), and the verified report
+// is rendered locally. -protocol needs the compiled
 // state space and is local-only.
 //
 // Case studies: ba (Byzantine agreement), bafs (Byzantine agreement with
@@ -59,7 +60,7 @@ func main() {
 		budget    = flag.Int64("node-budget", 0, "fail the run if live BDD nodes exceed this after a collection (0 = unbounded)")
 		reorder   = flag.Int64("reorder", 0, "run a BDD variable-reordering (sifting) pass after this many node allocations (0 = off)")
 		costModel = flag.String("cost-model", "", "price transitions and minimize repair cost: \"default=N,action=W,proc.action=W,...\" (weights override .ftr cost annotations)")
-		server    = flag.String("server", "", "run the job on this ftrepaird (or coordinator) base URL instead of in-process")
+		server    = flag.String("server", "", "run the job on this ftrepaird base URL instead of in-process")
 	)
 	flag.Parse()
 

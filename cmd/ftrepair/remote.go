@@ -13,12 +13,12 @@ import (
 	"repro/internal/service"
 )
 
-// runRemote executes the job on a remote ftrepaird (or cluster coordinator)
-// instead of in-process: it POSTs the spec, follows the job's event stream
-// via the JSON long-poll (progress goes to stderr under -v), and renders the
-// final RunReport. The same flag set drives both paths, so
-// `ftrepair -case ba -n 3` and `ftrepair -server http://host:8727 -case ba
-// -n 3` describe the identical job.
+// runRemote executes the job on a remote ftrepaird instead of in-process: it
+// POSTs the spec, follows the job's event stream via the JSON long-poll
+// (progress goes to stderr under -v), and renders the final RunReport. The
+// same flag set drives both paths, so `ftrepair -case ba -n 3` and
+// `ftrepair -server http://host:8727 -case ba -n 3` describe the identical
+// job.
 func runRemote(server string, spec service.Spec, verbose, jsonOut, explain bool) {
 	server = strings.TrimRight(server, "/")
 	body, err := json.Marshal(spec)
@@ -117,10 +117,6 @@ func runRemote(server string, spec service.Spec, verbose, jsonOut, explain bool)
 	if report.Costed {
 		fmt.Printf("achieved cost:     %.4g (weighted recovery transitions kept)\n", report.AchievedCost)
 		fmt.Printf("cost removed:      %.4g (weighted original transitions deleted)\n", report.CostRemoved)
-	}
-	if final.Predicted != nil {
-		fmt.Printf("admission lane:    %s (predicted %v, %d peak nodes)\n",
-			final.Lane, time.Duration(final.Predicted.TotalNS), final.Predicted.PeakNodes)
 	}
 	if report.Verified != nil {
 		fmt.Printf("\nverification (%s backend):\n", report.Backend)

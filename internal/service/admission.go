@@ -8,17 +8,9 @@ import (
 
 // ErrQuotaExceeded is returned by Submit when the submitting client's
 // token bucket is empty; HTTP callers see it as 429 Too Many Requests with
-// a Retry-After header. The error is typed so in-process callers (the
-// coordinator, tests) can branch on it with errors.Is.
+// a Retry-After header. The error is typed so in-process callers can branch
+// on it with errors.Is.
 var ErrQuotaExceeded = errors.New("service: client quota exceeded")
-
-// ErrOverloaded is returned by Submit when the queue depth has crossed the
-// load-shedding watermark and the job is predicted expensive: the daemon
-// sheds work it expects to hold a worker for a long time while it still has
-// headroom for cheap jobs, instead of rejecting everything only when the
-// queue is hard-full. HTTP callers see 503 with Retry-After and the current
-// queue depth.
-var ErrOverloaded = errors.New("service: shedding predicted-expensive jobs (queue over watermark)")
 
 // quotas is a per-client token-bucket table. Each client accrues rate
 // tokens per second up to burst; a submission spends one token. Buckets are

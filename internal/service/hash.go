@@ -41,12 +41,13 @@ func defKey(def *program.Def, alg string, opts repair.Options) string {
 	// v4: node-lifetime counters in RunReport and node_budget in the spec;
 	// v5: reorder in the spec and bdd_reorder_runs in RunReport; v6: the
 	// verification backend in the spec and backend/sat counters in RunReport;
-	// v7: the engine mode in the spec — hashed canonically, so the legacy
-	// flat spelling and the structured engine object alias — and engine_mode
-	// in RunReport; v8: the cost model in the spec — hashed canonically like
-	// the engine, flat and structured spellings alias — plus per-action cost
+	// v7: the engine mode in the spec, hashed canonically, and engine_mode in
+	// RunReport; v8: the cost model in the spec plus per-action cost
 	// annotations and cost rules from the .ftr source, and the cost fields in
-	// RunReport).
+	// RunReport). Dropping the spec's flat aliases of the engine and cost
+	// objects needed no bump: every spec that still parses resolves to the
+	// same options, hashes the same inputs, and yields the same report, so
+	// spilled results stay valid (TestSpecKeyGolden pins one such key).
 	mode := opts.Mode
 	if mode == "" {
 		mode = string(program.ModePartitioned)

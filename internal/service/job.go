@@ -31,9 +31,9 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// MaxJobWorkers bounds Spec.Workers: each engine worker costs a private BDD
-// manager, so an unbounded request would let one client exhaust the daemon's
-// memory.
+// MaxJobWorkers bounds EngineSpec.Workers: each engine worker costs a
+// private BDD manager, so an unbounded request would let one client exhaust
+// the daemon's memory.
 const MaxJobWorkers = 16
 
 // MaxWitnesses bounds Spec.Witnesses: each demonstration costs a serial
@@ -43,7 +43,9 @@ const MaxWitnesses = 8
 
 // Spec is a repair-job submission: either a built-in case study (Case, N) or
 // an inline .ftr model source (Model), plus algorithm and option selectors.
-// It is the JSON body of POST /v1/repair.
+// It is the JSON body of POST /v1/repair. Engine and cost options live only
+// in the structured Engine and Cost objects; the HTTP decoder rejects any
+// other field by name.
 type Spec struct {
 	// Case/N name a built-in case-study instance (ba, bafs, sc, ring, tmr).
 	Case string `json:"case,omitempty"`
@@ -53,12 +55,6 @@ type Spec struct {
 
 	// Algorithm is "lazy" (default) or "cautious".
 	Algorithm string `json:"algorithm,omitempty"`
-	// Workers is the per-job parallel-engine budget: the number of private
-	// BDD worker managers fanning out one synthesis. 0 (the default) runs
-	// the job serially — the daemon's own pool already parallelizes across
-	// jobs — while an explicit 2..MaxJobWorkers lets one wide job use
-	// several cores. The synthesized result is identical either way.
-	Workers int `json:"workers,omitempty"`
 	// Pure disables the reachability heuristic (the paper's ablation).
 	Pure bool `json:"pure,omitempty"`
 	// DeferCycles moves cycle-breaking after Step 2 (the paper's ablation).
@@ -66,12 +62,6 @@ type Spec struct {
 	// NoVerify skips the independent verifier (it runs by default, so every
 	// served result is a certified one unless the client opts out).
 	NoVerify bool `json:"no_verify,omitempty"`
-	// Backend selects the verification backend: "bdd" (the default — exact
-	// reachability fixpoints) or "sat" (bounded model checking over the CDCL
-	// solver). Part of the content address: the two backends produce the same
-	// verdicts but different report bodies (check details, solver counters),
-	// so their reports never alias in the cache.
-	Backend string `json:"backend,omitempty"`
 	// Witnesses asks for up to that many recovery demonstrations (certified
 	// traces that leave the invariant via faults and converge back) embedded
 	// in the result report, and attaches failure traces to failed verifier
@@ -82,41 +72,16 @@ type Spec struct {
 	// TimeoutMS bounds the synthesis; 0 uses the service default. The clock
 	// starts at submission, so time spent queued counts against the job.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// NodeBudget bounds the job's live BDD node count: a synthesis that grows
-	// past it (and that garbage collection cannot shrink back under) fails
-	// with a budget error instead of exhausting the daemon's memory. 0 (the
-	// default) means unbounded. Part of the content address: a budgeted run
-	// can fail where an unbudgeted one succeeds, so they never alias.
-	NodeBudget int64 `json:"node_budget,omitempty"`
-	// Reorder arms dynamic variable reordering on the job's BDD managers: a
-	// sifting pass runs after that many node allocations. 0 (the default)
-	// leaves reordering off. The synthesized program and its witnesses are
-	// identical either way; only node counts and timing differ, which is
-	// enough to keep the field in the content address (the report records
-	// them).
-	Reorder int64 `json:"reorder,omitempty"`
 
 	// Engine is the structured engine configuration, mirroring the library's
-	// EngineConfig. Its non-zero fields take precedence over the legacy flat
-	// fields above (workers, node_budget, reorder, backend), and both
-	// spellings canonicalize to the same content address, so a flat spec and
-	// its structured equivalent alias in the cache.
+	// EngineConfig.
 	Engine *EngineSpec `json:"engine,omitempty"`
-
-	// CostDefault, CostActions and MinimizeCost are the flat spellings of the
-	// cost configuration; like the flat engine fields they are aliases for the
-	// structured Cost object below, which wins field-by-field, and both
-	// spellings canonicalize to the same content address.
-	CostDefault  int64            `json:"cost_default,omitempty"`
-	CostActions  map[string]int64 `json:"cost_actions,omitempty"`
-	MinimizeCost bool             `json:"minimize_cost,omitempty"`
 
 	// Cost is the structured cost configuration — the service-side mirror of
 	// the library's CostModel plus the minimize switch. Any active cost field
-	// (structured or flat) prices the job's transitions and adds
-	// achieved_cost/cost_removed to the report; Minimize additionally turns on
-	// cost-aware synthesis. Part of the content address: a costed report and
-	// an uncosted one never alias.
+	// prices the job's transitions and adds achieved_cost/cost_removed to the
+	// report; Minimize additionally turns on cost-aware synthesis. Part of
+	// the content address: a costed report and an uncosted one never alias.
 	Cost *CostSpec `json:"cost,omitempty"`
 }
 
@@ -133,19 +98,36 @@ type CostSpec struct {
 }
 
 // EngineSpec is a Spec's structured engine configuration — the service-side
-// mirror of the library's EngineConfig.
+// mirror of the library's EngineConfig. Every field is part of the content
+// address.
 type EngineSpec struct {
 	// Mode selects the parallel engine: "partitioned" (the default) or
-	// "shared". Validated; part of the content address in canonical form.
+	// "shared". Validated and hashed in canonical form, so "" and
+	// "partitioned" alias.
 	Mode string `json:"mode,omitempty"`
-	// Workers is the per-job worker count (same semantics and bound as the
-	// legacy flat field).
+	// Workers is the per-job parallel-engine width. 0 (the default) takes
+	// the daemon's Config.JobWorkers, which is itself serial by default —
+	// the daemon's own pool already parallelizes across jobs — while an
+	// explicit 2..MaxJobWorkers lets one wide job use several cores. The
+	// synthesized result is identical either way, but the report records
+	// the width, so it is part of the content address.
 	Workers int `json:"workers,omitempty"`
-	// NodeBudget bounds the job's live BDD node count.
+	// NodeBudget bounds the job's live BDD node count: a synthesis that
+	// grows past it (and that garbage collection cannot shrink back under)
+	// fails with a budget error instead of exhausting the daemon's memory.
+	// 0 (the default) means unbounded. A budgeted run can fail where an
+	// unbudgeted one succeeds, so the two never alias.
 	NodeBudget int64 `json:"node_budget,omitempty"`
-	// Reorder arms dynamic variable reordering.
+	// Reorder arms dynamic variable reordering on the job's BDD managers: a
+	// sifting pass runs after that many node allocations. 0 (the default)
+	// leaves reordering off. The synthesized program and its witnesses are
+	// identical either way; only node counts and timing differ, which the
+	// report records.
 	Reorder int64 `json:"reorder,omitempty"`
-	// Backend selects the verification backend ("bdd" or "sat").
+	// Backend selects the verification backend: "bdd" (the default — exact
+	// reachability fixpoints) or "sat" (bounded model checking over the CDCL
+	// solver). The two backends produce the same verdicts but different
+	// report bodies (check details, solver counters); "" and "bdd" alias.
 	Backend string `json:"backend,omitempty"`
 }
 
@@ -177,25 +159,12 @@ func (sp *Spec) resolve() (*program.Def, core.Job, string, error) {
 		return nil, core.Job{}, "", fmt.Errorf("service: unknown algorithm %q (want %q or %q)",
 			alg, core.LazyRepair, core.CautiousRepair)
 	}
-	// Canonicalize the engine configuration: the structured object wins
-	// field-by-field over the legacy flat spellings, and the merged result is
-	// what gets validated and hashed — so {"workers": 4} and
-	// {"engine": {"workers": 4}} are the same job.
+	if sp.TimeoutMS < 0 {
+		return nil, core.Job{}, "", fmt.Errorf("service: timeout_ms %d must be non-negative", sp.TimeoutMS)
+	}
 	eng := EngineSpec{}
 	if sp.Engine != nil {
 		eng = *sp.Engine
-	}
-	if eng.Workers == 0 {
-		eng.Workers = sp.Workers
-	}
-	if eng.NodeBudget == 0 {
-		eng.NodeBudget = sp.NodeBudget
-	}
-	if eng.Reorder == 0 {
-		eng.Reorder = sp.Reorder
-	}
-	if eng.Backend == "" {
-		eng.Backend = sp.Backend
 	}
 	mode, err := program.ParseMode(eng.Mode)
 	if err != nil {
@@ -218,19 +187,10 @@ func (sp *Spec) resolve() (*program.Def, core.Job, string, error) {
 		return nil, core.Job{}, "", fmt.Errorf("service: %w", err)
 	}
 
-	// Canonicalize the cost configuration the same way: structured wins
-	// field-by-field, the merged result is validated and hashed.
 	cost := CostSpec{}
 	if sp.Cost != nil {
 		cost = *sp.Cost
 	}
-	if cost.Default == 0 {
-		cost.Default = sp.CostDefault
-	}
-	if len(cost.Actions) == 0 {
-		cost.Actions = sp.CostActions
-	}
-	cost.Minimize = cost.Minimize || sp.MinimizeCost
 	if cost.Default < 0 {
 		return nil, core.Job{}, "", fmt.Errorf("service: cost default %d must be non-negative", cost.Default)
 	}
@@ -277,25 +237,13 @@ func (sp *Spec) resolve() (*program.Def, core.Job, string, error) {
 	return def, job, key, nil
 }
 
-// ContentKey validates a spec and returns its content address without
-// registering a job — the routing primitive of the cluster coordinator,
-// which consistent-hashes this key across replicas so identical jobs land
-// on (and dedup within) the same node.
-func ContentKey(spec Spec) (string, error) {
-	_, _, key, err := spec.resolve()
-	return key, err
-}
-
 // job is the service's internal record of one submission.
 type job struct {
 	id  string
 	key string
 
-	spec      Spec
-	coreJob   core.Job
-	client    string       // submitting client (quota attribution); may be empty
-	predicted CostEstimate // the admission cost model's prediction
-	lane      string       // "fast" or "general"
+	spec    Spec
+	coreJob core.Job
 
 	ctx    context.Context
 	cancel context.CancelCauseFunc
@@ -324,11 +272,6 @@ type JobView struct {
 	// coalesced onto an identical in-flight synthesis.
 	CacheHit bool   `json:"cache_hit"`
 	Error    string `json:"error,omitempty"`
-	// Lane is the queue lane the admission cost model routed the job to
-	// ("fast" for predicted-cheap jobs, "general" otherwise); Predicted is
-	// the model's estimate.
-	Lane      string        `json:"lane,omitempty"`
-	Predicted *CostEstimate `json:"predicted,omitempty"`
 
 	SubmittedAt time.Time  `json:"submitted_at"`
 	StartedAt   *time.Time `json:"started_at,omitempty"`
@@ -348,14 +291,9 @@ func (j *job) view() JobView {
 		State:       j.state,
 		CacheHit:    j.cacheHit,
 		Error:       j.err,
-		Lane:        j.lane,
 		SubmittedAt: j.submitted,
 		Result:      j.report,
 		Log:         j.logger.snapshot(),
-	}
-	if j.predicted.TotalNS > 0 {
-		p := j.predicted
-		v.Predicted = &p
 	}
 	if !j.started.IsZero() {
 		t := j.started

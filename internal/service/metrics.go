@@ -54,7 +54,6 @@ func (r *waitRing) percentiles() (p50, p99 time.Duration) {
 type metrics struct {
 	submitted     int64 // jobs accepted into the system (including cache hits)
 	rejected      int64 // submissions refused because the queue was full
-	shed          int64 // predicted-expensive submissions shed over the watermark
 	quotaRejected int64 // submissions refused by a client's token bucket
 	completed     int64 // jobs reaching StateDone (cache hits included)
 	failed        int64 // jobs reaching StateFailed
@@ -117,7 +116,6 @@ func (m *metrics) write(w io.Writer, s *Service) {
 
 	c("ftrepaird_jobs_submitted_total", "Jobs accepted for processing.", m.get(&m.submitted))
 	c("ftrepaird_jobs_rejected_total", "Submissions rejected because the queue was full.", m.get(&m.rejected))
-	c("ftrepaird_jobs_shed_total", "Predicted-expensive submissions shed over the queue watermark.", m.get(&m.shed))
 	c("ftrepaird_quota_rejected_total", "Submissions rejected by per-client quotas.", m.get(&m.quotaRejected))
 	c("ftrepaird_jobs_completed_total", "Jobs finished successfully.", m.get(&m.completed))
 	c("ftrepaird_jobs_failed_total", "Jobs finished with an error.", m.get(&m.failed))
@@ -132,7 +130,7 @@ func (m *metrics) write(w io.Writer, s *Service) {
 	fmt.Fprintf(w, "# HELP ftrepaird_cache_hit_ratio Fraction of lookups served from cache.\n"+
 		"# TYPE ftrepaird_cache_hit_ratio gauge\nftrepaird_cache_hit_ratio %g\n", ratio)
 
-	g("ftrepaird_queue_depth", "Jobs waiting in the bounded work queue (both lanes).", int64(s.q.depth()))
+	g("ftrepaird_queue_depth", "Jobs waiting in the bounded work queue.", int64(len(s.queue)))
 	g("ftrepaird_jobs_running", "Jobs currently being synthesized.", m.get(&m.running))
 	g("ftrepaird_cache_entries", "Entries resident in the result cache.", int64(s.cache.Len()))
 	g("ftrepaird_cache_spill_entries", "Entries resident in the persistent cache spill.", int64(s.cache.SpillLen()))
@@ -177,7 +175,6 @@ func (m *metrics) write(w io.Writer, s *Service) {
 type MetricsSnapshot struct {
 	Submitted     int64 `json:"submitted"`
 	Rejected      int64 `json:"rejected"`
-	Shed          int64 `json:"shed"`
 	QuotaRejected int64 `json:"quota_rejected"`
 	Completed     int64 `json:"completed"`
 	Failed        int64 `json:"failed"`
@@ -241,7 +238,6 @@ func (s *Service) Metrics() MetricsSnapshot {
 	return MetricsSnapshot{
 		Submitted:     m.get(&m.submitted),
 		Rejected:      m.get(&m.rejected),
-		Shed:          m.get(&m.shed),
 		QuotaRejected: m.get(&m.quotaRejected),
 		Completed:     m.get(&m.completed),
 		Failed:        m.get(&m.failed),
@@ -257,7 +253,7 @@ func (s *Service) Metrics() MetricsSnapshot {
 		SpillHits:      spillHits,
 		SpillRejected:  spillBad,
 		SpillErrors:    spillErrs,
-		QueueDepth:     s.q.depth(),
+		QueueDepth:     len(s.queue),
 		QueueWaitP50MS: p50.Milliseconds(),
 		QueueWaitP99MS: p99.Milliseconds(),
 		Workers:        s.cfg.Workers,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -26,10 +27,10 @@ import (
 // Error responses are structured JSON objects {"code": "...", "message":
 // "...", ...} with conventional status codes: 400 bad_json/invalid_spec,
 // 404 unknown_job, 405 method_not_allowed, 429 quota_exceeded, 503
-// queue_full/overloaded/shutting_down. The code is a stable
-// machine-readable token; the message is human-readable detail. Capacity
-// rejections (429/503) carry a Retry-After header and the current
-// queue_depth in the body so clients can back off intelligently.
+// queue_full/shutting_down. The code is a stable machine-readable token;
+// the message is human-readable detail. Capacity rejections (429 and 503
+// queue_full) carry a Retry-After header and the current queue_depth in the
+// body so clients can back off intelligently.
 //
 // Clients are identified for quota purposes by the X-Client-ID header when
 // present, else by the remote address' host part.
@@ -51,8 +52,8 @@ type APIError struct {
 	// Message is the human-readable detail.
 	Message string `json:"message"`
 	// QueueDepth is the work queue's depth at rejection time, set on
-	// capacity errors (queue_full, overloaded, quota_exceeded) so clients
-	// can scale their backoff to the congestion they are seeing.
+	// capacity errors (queue_full, quota_exceeded) so clients can scale
+	// their backoff to the congestion they are seeing.
 	QueueDepth int `json:"queue_depth,omitempty"`
 	// RetryAfterS mirrors the Retry-After header, in seconds.
 	RetryAfterS int `json:"retry_after_s,omitempty"`
@@ -66,7 +67,6 @@ const (
 	CodeMethodNotAllowed = "method_not_allowed" // 405
 	CodeQuotaExceeded    = "quota_exceeded"     // 429: client token bucket empty
 	CodeQueueFull        = "queue_full"         // 503
-	CodeOverloaded       = "overloaded"         // 503: cost-aware load shedding
 	CodeShuttingDown     = "shutting_down"      // 503
 )
 
@@ -85,7 +85,7 @@ func writeError(w http.ResponseWriter, status int, code string, err error) {
 // writeCapacityError writes a 429/503 with backoff guidance: a Retry-After
 // header scaled to the current congestion and the queue depth in the body.
 func (s *Service) writeCapacityError(w http.ResponseWriter, status int, code string, err error) {
-	depth := s.q.depth()
+	depth := len(s.queue)
 	// Heuristic backoff: one second per queued job, clamped to [1s, 30s].
 	// The p50 queue wait would be a sharper signal but is zero on a cold
 	// daemon; depth is always live.
@@ -125,13 +125,16 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadJSON, err)
 		return
 	}
+	// One spec per request: trailing bytes, a second JSON value included,
+	// are an error rather than silently ignored.
+	if err := dec.Decode(&json.RawMessage{}); err != io.EOF {
+		writeError(w, http.StatusBadRequest, CodeBadJSON, errors.New("unexpected data after the spec object"))
+		return
+	}
 	view, err := s.SubmitFor(clientID(r), spec)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		s.writeCapacityError(w, http.StatusServiceUnavailable, CodeQueueFull, err)
-		return
-	case errors.Is(err, ErrOverloaded):
-		s.writeCapacityError(w, http.StatusServiceUnavailable, CodeOverloaded, err)
 		return
 	case errors.Is(err, ErrQuotaExceeded):
 		s.writeCapacityError(w, http.StatusTooManyRequests, CodeQuotaExceeded, err)
@@ -285,7 +288,7 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":      "ok",
 		"workers":     s.cfg.Workers,
-		"queue_depth": s.q.depth(),
+		"queue_depth": len(s.queue),
 		"jobs":        jobs,
 	})
 }

@@ -29,7 +29,7 @@ type Config struct {
 	// Workers is the worker-pool size; default GOMAXPROCS(0).
 	Workers int
 	// JobWorkers is the default per-job parallel-engine width applied to
-	// submissions that leave Spec.Workers at 0. The default (0) keeps such
+	// submissions that leave engine.workers at 0. The default (0) keeps such
 	// jobs serial — the pool above already parallelizes across jobs. Capped
 	// at MaxJobWorkers.
 	JobWorkers int
@@ -59,26 +59,6 @@ type Config struct {
 	QuotaRate float64
 	// QuotaBurst is the token-bucket burst size; default 8.
 	QuotaBurst int
-	// ShedWatermark arms load shedding: once the general queue lane holds at
-	// least this many jobs, submissions the cost model predicts expensive
-	// fail with ErrOverloaded while cheap ones are still admitted. 0
-	// disables shedding (only a hard-full queue rejects).
-	ShedWatermark int
-	// FastWorkers reserves that many pool workers for the fast lane (jobs
-	// predicted under FastLaneNS), capped at Workers-1. All other workers
-	// prefer the fast lane but drain both. Default 0: no reservation.
-	FastWorkers int
-	// FastLaneNS is the predicted serial wall time (nanoseconds) under which
-	// a job routes to the fast lane; default 100ms. Negative disables the
-	// fast lane entirely.
-	FastLaneNS int64
-	// CostBudgetScale, when positive, arms cost-based early termination: a
-	// job predicted expensive (over FastLaneNS) that does not set its own
-	// node_budget runs under NodeBudget = scale × predicted peak nodes, so a
-	// synthesis whose BDDs blow far past the prediction fails fast with a
-	// typed budget error instead of burning a worker until its wall-clock
-	// deadline. 0 disables.
-	CostBudgetScale int64
 	// Logf, when non-nil, receives service-level log lines. It must be safe
 	// for concurrent use (workers log concurrently).
 	Logf func(format string, args ...any)
@@ -112,19 +92,18 @@ func (c *Config) fill() {
 	if c.QuotaBurst <= 0 {
 		c.QuotaBurst = 8
 	}
-	if c.FastLaneNS == 0 {
-		c.FastLaneNS = int64(100 * time.Millisecond)
-	}
-	if c.FastWorkers > c.Workers-1 {
-		c.FastWorkers = c.Workers - 1
-	}
-	if c.FastWorkers < 0 {
-		c.FastWorkers = 0
-	}
 }
 
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("service: closed")
+
+// ErrQueueFull is returned by Submit when the bounded work queue cannot
+// accept another job; HTTP callers see it as 503 Service Unavailable with a
+// Retry-After header and the current queue depth in the error body.
+// Backpressure by rejection (rather than blocking the submitter) keeps the
+// daemon responsive under overload: clients retry with their own policy
+// instead of tying up server connections.
+var ErrQueueFull = errors.New("service: work queue is full")
 
 // errClientCancel marks client-requested cancellation (vs deadline).
 var errClientCancel = errors.New("cancelled by client")
@@ -135,7 +114,7 @@ type Service struct {
 	root    context.Context
 	stop    context.CancelFunc
 	wg      sync.WaitGroup
-	q       *queue
+	queue   chan *job // pending jobs in FIFO order; the buffer is the bound
 	cache   *Cache
 	quotas  *quotas
 	waits   waitRing
@@ -189,7 +168,7 @@ func New(cfg Config) *Service {
 		cfg:      cfg,
 		root:     root,
 		stop:     stop,
-		q:        newQueue(cfg.QueueDepth),
+		queue:    make(chan *job, cfg.QueueDepth),
 		cache:    cache,
 		quotas:   newQuotas(cfg.QuotaRate, cfg.QuotaBurst),
 		jobs:     make(map[string]*job),
@@ -199,11 +178,10 @@ func New(cfg Config) *Service {
 		s.logf("service: spill disabled: %v", err)
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		fastOnly := i < cfg.FastWorkers
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.worker(fastOnly)
+			s.worker()
 		}()
 	}
 	return s
@@ -232,56 +210,36 @@ func (s *Service) logf(format string, args ...any) {
 	}
 }
 
-// costBudgetFloor is the minimum admission-imposed node budget: it protects
-// jobs the model mispredicts as tiny from being killed by a budget far below
-// anything a real synthesis needs.
-const costBudgetFloor = 1 << 17
-
 // Submit validates and registers a job with no client attribution (quotas
 // do not apply). The returned view reflects the job's state at return: done
-// (cache hit), or queued. ErrQueueFull, ErrOverloaded, ErrQuotaExceeded and
-// ErrClosed are sentinel errors; anything else is a bad spec.
+// (cache hit), or queued. ErrQueueFull, ErrQuotaExceeded and ErrClosed are
+// sentinel errors; anything else is a bad spec.
 func (s *Service) Submit(spec Spec) (JobView, error) { return s.SubmitFor("", spec) }
 
 // SubmitFor is Submit with client attribution: when the service is
 // configured with per-client quotas, the submission spends a token from
-// client's bucket (an empty client string bypasses quotas). Admission
-// control — quotas, cost-aware load shedding, and cost-based node budgets —
-// applies only to submissions that need a synthesis; content-addressed
-// cache hits are always served.
+// client's bucket (an empty client string bypasses quotas). Quotas apply
+// only to submissions that need a synthesis; content-addressed cache hits
+// are always served.
 func (s *Service) SubmitFor(client string, spec Spec) (JobView, error) {
-	if spec.Workers == 0 {
-		spec.Workers = s.cfg.JobWorkers
+	if s.cfg.JobWorkers > 0 && (spec.Engine == nil || spec.Engine.Workers == 0) {
+		eng := EngineSpec{} // a copy: the caller's EngineSpec stays untouched
+		if spec.Engine != nil {
+			eng = *spec.Engine
+		}
+		eng.Workers = s.cfg.JobWorkers
+		spec.Engine = &eng
 	}
 	def, coreJob, key, err := spec.resolve()
 	if err != nil {
 		return JobView{}, err
 	}
 
-	predicted := estimateCost(def)
-	cheapNS := s.cfg.FastLaneNS
-	if cheapNS <= 0 {
-		cheapNS = int64(100 * time.Millisecond)
-	}
-	cheap := predicted.TotalNS <= cheapNS
-	fastLane := cheap && s.cfg.FastLaneNS > 0
-
 	cachedReport, cached := s.cache.Get(key)
 	if !cached {
 		if ok, _ := s.quotas.allow(client); !ok {
 			s.metrics.add(&s.metrics.quotaRejected, 1)
 			return JobView{}, fmt.Errorf("%w (client %q)", ErrQuotaExceeded, client)
-		}
-		if s.cfg.ShedWatermark > 0 && !cheap && s.q.generalDepth() >= s.cfg.ShedWatermark {
-			s.metrics.add(&s.metrics.shed, 1)
-			return JobView{}, ErrOverloaded
-		}
-		if s.cfg.CostBudgetScale > 0 && !cheap && coreJob.Options.NodeBudget == 0 {
-			b := s.cfg.CostBudgetScale * predicted.PeakNodes
-			if b < costBudgetFloor {
-				b = costBudgetFloor
-			}
-			coreJob.Options.NodeBudget = b
 		}
 	}
 
@@ -295,9 +253,6 @@ func (s *Service) SubmitFor(client string, spec Spec) (JobView, error) {
 		key:       key,
 		spec:      spec,
 		coreJob:   coreJob,
-		client:    client,
-		predicted: predicted,
-		lane:      "general",
 		ctx:       jctx,
 		cancel:    jcancel,
 		done:      make(chan struct{}),
@@ -305,9 +260,6 @@ func (s *Service) SubmitFor(client string, spec Spec) (JobView, error) {
 		events:    newEventLog(),
 		state:     StateQueued,
 		submitted: time.Now(),
-	}
-	if fastLane {
-		j.lane = "fast"
 	}
 	// Release the deadline timer once the job reaches a terminal state.
 	go func() {
@@ -361,15 +313,9 @@ func (s *Service) SubmitFor(client string, spec Spec) (JobView, error) {
 		return j.view(), nil
 	}
 
-	// New synthesis: become the in-flight leader and enter the queue. A full
-	// fast lane overflows onto the general lane before rejecting.
+	// New synthesis: become the in-flight leader and enter the queue.
 	s.inflight[key] = j
-	pushed := s.q.tryPush(j, fastLane)
-	if !pushed && fastLane {
-		j.lane = "general"
-		pushed = s.q.tryPush(j, false)
-	}
-	if !pushed {
+	if !s.enqueue(j) {
 		delete(s.inflight, key)
 		delete(s.jobs, j.id)
 		s.metrics.add(&s.metrics.submitted, -1)
@@ -381,7 +327,7 @@ func (s *Service) SubmitFor(client string, spec Spec) (JobView, error) {
 	}
 	s.mu.Unlock()
 	j.events.state(StateQueued, "")
-	s.logf("service: job %s queued (model=%q key=%.8s lane=%s)", j.id, def.Name, key, j.lane)
+	s.logf("service: job %s queued (model=%q key=%.8s)", j.id, def.Name, key)
 	return j.view(), nil
 }
 
@@ -427,16 +373,26 @@ func (s *Service) Wait(ctx context.Context, id string) (JobView, error) {
 	}
 }
 
-// worker is the pool loop: pop, run, repeat until the service closes.
-// fastOnly workers serve nothing but the fast lane, so cheap jobs always
-// have capacity waiting for them.
-func (s *Service) worker(fastOnly bool) {
+// enqueue hands j to the worker pool without blocking; it reports false
+// when the queue is full.
+func (s *Service) enqueue(j *job) bool {
+	select {
+	case s.queue <- j:
+		return true
+	default:
+		return false
+	}
+}
+
+// worker is the pool loop: dequeue, run, repeat until the service closes.
+func (s *Service) worker() {
 	for {
-		j, ok := s.q.pop(s.root, fastOnly)
-		if !ok {
+		select {
+		case j := <-s.queue:
+			s.run(j)
+		case <-s.root.Done():
 			return
 		}
-		s.run(j)
 	}
 }
 
@@ -524,7 +480,7 @@ func (s *Service) follow(j, leader *job) {
 			return
 		}
 		s.inflight[j.key] = j
-		if !s.q.tryPush(j, j.lane == "fast") {
+		if !s.enqueue(j) {
 			delete(s.inflight, j.key)
 			s.mu.Unlock()
 			s.finishFailed(j, fmt.Errorf("retry after leader %s failed: %w", leader.id, ErrQueueFull))
@@ -612,6 +568,3 @@ func (s *Service) jobByID(id string) (*job, bool) {
 	s.mu.Unlock()
 	return j, ok
 }
-
-// QueueDepth reports the total number of queued jobs across both lanes.
-func (s *Service) QueueDepth() int { return s.q.depth() }

@@ -70,14 +70,14 @@ func TestSpecValidation(t *testing.T) {
 		{Case: "ba", N: 0},                  // bad instance size
 		{Case: "ba", N: 3, Algorithm: "??"}, // unknown algorithm
 		{Model: "var x : bool\n"},           // malformed model
-		{Case: "ba", N: 3, Workers: -1},     // negative engine width
-		{Case: "ba", N: 3, Workers: MaxJobWorkers + 1},                               // over the cap
+		{Case: "ba", N: 3, TimeoutMS: -1},   // negative deadline
 		{Case: "ba", N: 3, Engine: &EngineSpec{Mode: "threads"}},                     // unknown engine mode
-		{Case: "ba", N: 3, Engine: &EngineSpec{Workers: -1}},                         // negative width via engine object
-		{Case: "ba", N: 3, Engine: &EngineSpec{Workers: MaxJobWorkers + 1}},          // over the cap via engine object
-		{Case: "ba", N: 3, Engine: &EngineSpec{Backend: "z3"}},                       // unknown backend via engine object
-		{Case: "ba", N: 3, CostDefault: -1},                                          // negative default weight
-		{Case: "ba", N: 3, CostActions: map[string]int64{"a": 0}},                    // zero action weight
+		{Case: "ba", N: 3, Engine: &EngineSpec{Workers: -1}},                         // negative engine width
+		{Case: "ba", N: 3, Engine: &EngineSpec{Workers: MaxJobWorkers + 1}},          // over the cap
+		{Case: "ba", N: 3, Engine: &EngineSpec{Backend: "z3"}},                       // unknown backend
+		{Case: "ba", N: 3, Engine: &EngineSpec{Reorder: -1}},                         // negative reorder cadence
+		{Case: "ba", N: 3, Cost: &CostSpec{Default: -1}},                             // negative default weight
+		{Case: "ba", N: 3, Cost: &CostSpec{Actions: map[string]int64{"a": 0}}},       // zero action weight
 		{Case: "ba", N: 3, Cost: &CostSpec{Actions: map[string]int64{"a": 1 << 31}}}, // over the weight cap
 	}
 	for i, sp := range cases {
@@ -87,11 +87,9 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// TestEngineSpecCanonicalization pins the aliasing contract of the
-// structured engine object: a flat spec and its structured spelling share a
-// content address, non-zero engine fields win over their flat twins, and the
-// default mode hashes identically whether it is spelled "", "partitioned",
-// or left to the flat fields.
+// TestEngineSpecCanonicalization pins how the engine object enters the
+// content address: the mode is part of it, and the default mode hashes
+// identically whether it is spelled "" or "partitioned".
 func TestEngineSpecCanonicalization(t *testing.T) {
 	key := func(sp Spec) string {
 		t.Helper()
@@ -102,44 +100,34 @@ func TestEngineSpecCanonicalization(t *testing.T) {
 		return k
 	}
 
-	flat := Spec{Case: "ba", N: 3, Workers: 2, NodeBudget: 1 << 20, Reorder: 1 << 16, Backend: "sat"}
-	structured := Spec{Case: "ba", N: 3, Engine: &EngineSpec{
+	implicit := Spec{Case: "ba", N: 3, Engine: &EngineSpec{
 		Workers: 2, NodeBudget: 1 << 20, Reorder: 1 << 16, Backend: "sat",
 	}}
-	if key(flat) != key(structured) {
-		t.Error("flat and structured spellings of the same engine config hash differently")
-	}
-
-	explicit := structured
-	explicit.Engine = &EngineSpec{Mode: "partitioned", Workers: 2, NodeBudget: 1 << 20, Reorder: 1 << 16, Backend: "sat"}
-	if key(structured) != key(explicit) {
+	explicit := Spec{Case: "ba", N: 3, Engine: &EngineSpec{
+		Mode: "partitioned", Workers: 2, NodeBudget: 1 << 20, Reorder: 1 << 16, Backend: "sat",
+	}}
+	if key(implicit) != key(explicit) {
 		t.Error(`default mode and explicit "partitioned" hash differently`)
 	}
 
+	partitioned := Spec{Case: "ba", N: 3, Engine: &EngineSpec{Workers: 2}}
 	shared := Spec{Case: "ba", N: 3, Engine: &EngineSpec{Mode: "shared", Workers: 2}}
-	if key(Spec{Case: "ba", N: 3, Workers: 2}) == key(shared) {
+	if key(partitioned) == key(shared) {
 		t.Error("engine mode not part of the content address")
 	}
 
-	// Non-zero engine fields take precedence over the flat twins: engine
-	// workers 4 + flat workers 2 is the same job as flat workers 4.
-	mixed := Spec{Case: "ba", N: 3, Workers: 2, Engine: &EngineSpec{Workers: 4}}
-	if key(mixed) != key(Spec{Case: "ba", N: 3, Workers: 4}) {
-		t.Error("engine object does not win over flat fields in the content address")
-	}
-	_, job, _, err := mixed.resolve()
+	_, job, _, err := shared.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.Options.Workers != 4 {
-		t.Errorf("resolved workers = %d, want the engine object's 4", job.Options.Workers)
+	if job.Options.Workers != 2 || job.Options.Mode != "shared" {
+		t.Errorf("resolved workers=%d mode=%q, want the engine object's 2/shared", job.Options.Workers, job.Options.Mode)
 	}
 }
 
-// TestCostSpecCanonicalization pins the aliasing contract of the structured
-// cost object: a flat spec and its structured spelling share a content
-// address, the structured object wins field-by-field, uncosted and costed
-// jobs never alias, and resolve wires the merged model into the job options.
+// TestCostSpecCanonicalization pins how the cost object enters the content
+// address: uncosted and costed jobs never alias, the minimize switch is part
+// of the key, and resolve wires the model into the job options.
 func TestCostSpecCanonicalization(t *testing.T) {
 	key := func(sp Spec) string {
 		t.Helper()
@@ -150,37 +138,59 @@ func TestCostSpecCanonicalization(t *testing.T) {
 		return k
 	}
 
-	flat := Spec{Case: "ba", N: 3, CostDefault: 2, CostActions: map[string]int64{"copy": 5}, MinimizeCost: true}
-	structured := Spec{Case: "ba", N: 3, Cost: &CostSpec{
+	costed := Spec{Case: "ba", N: 3, Cost: &CostSpec{
 		Default: 2, Actions: map[string]int64{"copy": 5}, Minimize: true,
 	}}
-	if key(flat) != key(structured) {
-		t.Error("flat and structured spellings of the same cost config hash differently")
-	}
-
-	if key(Spec{Case: "ba", N: 3}) == key(structured) {
+	if key(Spec{Case: "ba", N: 3}) == key(costed) {
 		t.Error("cost model not part of the content address")
 	}
-	noMin := structured
-	noMin.Cost = &CostSpec{Default: 2, Actions: map[string]int64{"copy": 5}}
-	if key(noMin) == key(structured) {
+	noMin := Spec{Case: "ba", N: 3, Cost: &CostSpec{Default: 2, Actions: map[string]int64{"copy": 5}}}
+	if key(noMin) == key(costed) {
 		t.Error("minimize switch not part of the content address")
 	}
 
-	// The structured object wins over the flat twins.
-	mixed := Spec{Case: "ba", N: 3, CostDefault: 7, Cost: &CostSpec{Default: 2}}
-	if key(mixed) != key(Spec{Case: "ba", N: 3, Cost: &CostSpec{Default: 2}}) {
-		t.Error("cost object does not win over flat fields in the content address")
-	}
-
-	_, job, _, err := structured.resolve()
+	_, job, _, err := costed.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if job.Options.Costs == nil || job.Options.Costs.Default != 2 ||
 		job.Options.Costs.Actions["copy"] != 5 || !job.Options.MinimizeCost {
-		t.Errorf("resolved cost options = %+v minimize=%t, want the structured spec's values",
+		t.Errorf("resolved cost options = %+v minimize=%t, want the spec's values",
 			job.Options.Costs, job.Options.MinimizeCost)
+	}
+}
+
+// TestHTTPLegacySpecFieldsRejected pins the structured-only spec contract:
+// each flat alias the engine and cost objects replaced is an unknown field,
+// answered with 400 bad_json whose message names it.
+func TestHTTPLegacySpecFieldsRejected(t *testing.T) {
+	base, _, shutdown := bootDaemon(t, Config{Workers: 1, QueueDepth: 4})
+	defer shutdown()
+
+	for _, tc := range []struct{ field, value string }{
+		{"workers", "2"},
+		{"node_budget", "1048576"},
+		{"reorder", "65536"},
+		{"backend", `"sat"`},
+		{"cost_default", "2"},
+		{"cost_actions", `{"copy":5}`},
+		{"minimize_cost", "true"},
+	} {
+		body := `{"case":"ba","n":3,"` + tc.field + `":` + tc.value + `}`
+		resp, err := http.Post(base+"/v1/repair", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ae APIError
+		err = decodeBody(resp, &ae)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || ae.Code != CodeBadJSON || !strings.Contains(ae.Message, tc.field) {
+			t.Errorf("%s: status=%d code=%q message=%q, want 400 bad_json naming the field",
+				body, resp.StatusCode, ae.Code, ae.Message)
+		}
 	}
 }
 
@@ -582,50 +592,52 @@ func TestE2EHTTPSurface(t *testing.T) {
 
 // TestWorkersSpecRunsAndRecords submits a job with an explicit parallel
 // engine width and checks the verified report records it; a second service
-// with Config.JobWorkers set must apply that default to specs that omit the
-// field.
+// with Config.JobWorkers set must apply that default to specs that leave
+// engine.workers at 0, whether they omit the engine object or not.
 func TestWorkersSpecRunsAndRecords(t *testing.T) {
+	run := func(s *Service, spec Spec) *core.RunReport {
+		t.Helper()
+		v, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final, err := s.Wait(context.Background(), v.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != StateDone || final.Result == nil {
+			t.Fatalf("job did not finish: state=%s err=%q", final.State, final.Error)
+		}
+		return final.Result
+	}
+
 	s := New(Config{Workers: 1, QueueDepth: 4})
 	defer s.Close()
-	v, err := s.Submit(Spec{Case: "ba", N: 2, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := s.Wait(context.Background(), v.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.State != StateDone || final.Result == nil {
-		t.Fatalf("job did not finish: state=%s err=%q", final.State, final.Error)
-	}
-	if final.Result.Workers != 2 {
-		t.Fatalf("report records %d workers, want 2", final.Result.Workers)
+	if r := run(s, Spec{Case: "ba", N: 2, Engine: &EngineSpec{Workers: 2}}); r.Workers != 2 {
+		t.Fatalf("report records %d workers, want 2", r.Workers)
 	}
 
 	s2 := New(Config{Workers: 1, QueueDepth: 4, JobWorkers: 2})
 	defer s2.Close()
-	v2, err := s2.Submit(Spec{Case: "ba", N: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final2, err := s2.Wait(context.Background(), v2.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final2.Result == nil || final2.Result.Workers != 2 {
-		t.Fatalf("JobWorkers default not applied: %+v", final2.Result)
+	for _, spec := range []Spec{
+		{Case: "ba", N: 2},
+		{Case: "ba", N: 2, Engine: &EngineSpec{Mode: "shared"}},
+	} {
+		if r := run(s2, spec); r.Workers != 2 {
+			t.Fatalf("JobWorkers default not applied to %+v: report records %d workers", spec, r.Workers)
+		}
 	}
 }
 
 // TestNodeBudgetSpec covers the node_budget spec field end to end: validation,
 // content addressing, budget enforcement, and the node counters on success.
 func TestNodeBudgetSpec(t *testing.T) {
-	bad := Spec{Case: "ba", N: 2, NodeBudget: -1}
+	bad := Spec{Case: "ba", N: 2, Engine: &EngineSpec{NodeBudget: -1}}
 	if _, _, _, err := bad.resolve(); err == nil {
 		t.Fatal("negative node_budget resolved without error")
 	}
 	key := func(b int64) string {
-		sp := Spec{Case: "ba", N: 2, NodeBudget: b}
+		sp := Spec{Case: "ba", N: 2, Engine: &EngineSpec{NodeBudget: b}}
 		_, _, k, err := sp.resolve()
 		if err != nil {
 			t.Fatal(err)
@@ -638,7 +650,7 @@ func TestNodeBudgetSpec(t *testing.T) {
 
 	s := New(Config{Workers: 1, QueueDepth: 4})
 	defer s.Close()
-	v, err := s.Submit(Spec{Case: "sc", N: 6, NodeBudget: 500})
+	v, err := s.Submit(Spec{Case: "sc", N: 6, Engine: &EngineSpec{NodeBudget: 500}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -673,50 +685,35 @@ func TestHTTPStructuredErrors(t *testing.T) {
 	base, _, shutdown := bootDaemon(t, Config{Workers: 1, QueueDepth: 4})
 	defer shutdown()
 
-	readErr := func(resp *http.Response) APIError {
-		t.Helper()
-		defer resp.Body.Close()
-		var ae APIError
+	for _, tc := range []struct {
+		method, path, body string
+		status             int
+		code               string
+	}{
+		{"POST", "/v1/repair", `{"case":"ba","n":3,"engine":{"workers":99}}`, http.StatusBadRequest, CodeInvalidSpec},
+		{"POST", "/v1/repair", `{"case":"ba","n":2,"timeout_ms":-1}`, http.StatusBadRequest, CodeInvalidSpec},
+		{"POST", "/v1/repair", `{not json`, http.StatusBadRequest, CodeBadJSON},
+		{"POST", "/v1/repair", `{"case":"ba","n":2} trailing garbage`, http.StatusBadRequest, CodeBadJSON},
+		{"POST", "/v1/repair", `{"case":"ba","n":2}{"case":"sc","n":99}`, http.StatusBadRequest, CodeBadJSON},
+		{"GET", "/v1/jobs/nonexistent", "", http.StatusNotFound, CodeUnknownJob},
+		{"GET", "/v1/repair", "", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+	} {
+		req, _ := http.NewRequest(tc.method, base+tc.path, strings.NewReader(tc.body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
 		raw, _ := io.ReadAll(resp.Body)
-		if err := json.Unmarshal(raw, &ae); err != nil {
-			t.Fatalf("error body is not an APIError: %s", raw)
+		resp.Body.Close()
+		var ae APIError
+		if err := json.Unmarshal(raw, &ae); err != nil || ae.Code == "" || ae.Message == "" {
+			t.Errorf("%s %s %s: status=%d, body is not an APIError with code and message: %s",
+				tc.method, tc.path, tc.body, resp.StatusCode, raw)
+			continue
 		}
-		if ae.Code == "" || ae.Message == "" {
-			t.Fatalf("error body missing code or message: %s", raw)
+		if resp.StatusCode != tc.status || ae.Code != tc.code {
+			t.Errorf("%s %s %s: status=%d code=%q, want %d %q",
+				tc.method, tc.path, tc.body, resp.StatusCode, ae.Code, tc.status, tc.code)
 		}
-		return ae
-	}
-
-	resp, err := http.Post(base+"/v1/repair", "application/json",
-		strings.NewReader(`{"case":"ba","n":3,"workers":99}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ae := readErr(resp); resp.StatusCode != http.StatusBadRequest || ae.Code != CodeInvalidSpec {
-		t.Fatalf("workers=99: status=%d code=%q", resp.StatusCode, ae.Code)
-	}
-
-	resp, err = http.Post(base+"/v1/repair", "application/json", strings.NewReader(`{not json`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ae := readErr(resp); resp.StatusCode != http.StatusBadRequest || ae.Code != CodeBadJSON {
-		t.Fatalf("bad json: status=%d code=%q", resp.StatusCode, ae.Code)
-	}
-
-	resp, err = http.Get(base + "/v1/jobs/nonexistent")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ae := readErr(resp); resp.StatusCode != http.StatusNotFound || ae.Code != CodeUnknownJob {
-		t.Fatalf("unknown job: status=%d code=%q", resp.StatusCode, ae.Code)
-	}
-
-	resp, err = http.Get(base + "/v1/repair")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ae := readErr(resp); resp.StatusCode != http.StatusMethodNotAllowed || ae.Code != CodeMethodNotAllowed {
-		t.Fatalf("GET submit: status=%d code=%q", resp.StatusCode, ae.Code)
 	}
 }

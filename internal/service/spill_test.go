@@ -276,9 +276,9 @@ func TestHTTPQuotaAndRetryAfter(t *testing.T) {
 // TestHTTPQueueFullRetryAfter: a hard-full queue rejects 503 with backoff
 // guidance (Retry-After header + queue_depth in the body).
 func TestHTTPQueueFullRetryAfter(t *testing.T) {
-	// FastLaneNS < 0 disables the fast lane so one slow job plus one queued
-	// job saturates the single general lane deterministically.
-	base, svc, shutdown := bootDaemon(t, Config{Workers: 1, QueueDepth: 1, FastLaneNS: -1})
+	// One slow job on the lone worker plus one queued job saturates the
+	// depth-1 queue.
+	base, svc, shutdown := bootDaemon(t, Config{Workers: 1, QueueDepth: 1})
 	defer shutdown()
 
 	slow, _ := postJob(t, base, Spec{Case: "sc", N: 14})
