@@ -173,11 +173,48 @@ func (m *Manager) xorRec(f, g Node) Node {
 	return r
 }
 
-// Diff returns f ∧ ¬g (set difference when BDDs encode sets).
+// Diff returns f ∧ ¬g (set difference when BDDs encode sets). It is one
+// memoized recursion, so ¬g is never built.
 func (m *Manager) Diff(f, g Node) Node {
-	m.Ref(f)
-	r := m.And(f, m.Not(g))
-	m.Deref(f)
+	m.safe(f, g, False)
+	return m.keep(m.diffRec(f, g))
+}
+
+func (m *Manager) diffRec(f, g Node) Node {
+	switch {
+	case f == False || g == True || f == g:
+		return False
+	case g == False:
+		return f
+	case f == True:
+		return m.notRec(g)
+	}
+	if r, ok := m.binLookup(opDiff, f, g); ok {
+		return r
+	}
+	nf, ng := m.nodes[f], m.nodes[g]
+	top := nf.level
+	if ng.level < top {
+		top = ng.level
+	}
+	var r Node
+	if m.shouldFork(top) {
+		f0, f1 := m.cofactor(f, top)
+		g0, g1 := m.cofactor(g, top)
+		ot := m.forkSpawn(opDiff, f1, g1, False)
+		lo := m.diffRec(f0, g0)
+		r = m.mk(top, lo, m.forkJoin(ot))
+	} else {
+		switch {
+		case nf.level == ng.level:
+			r = m.mk(top, m.diffRec(nf.low, ng.low), m.diffRec(nf.high, ng.high))
+		case nf.level < ng.level:
+			r = m.mk(top, m.diffRec(nf.low, g), m.diffRec(nf.high, g))
+		default:
+			r = m.mk(top, m.diffRec(f, ng.low), m.diffRec(f, ng.high))
+		}
+	}
+	m.binStore(opDiff, f, g, r)
 	return r
 }
 

@@ -57,13 +57,15 @@ type Manager struct {
 	var2level []int32 // var2level[id] = level
 	level2var []int32 // level2var[level] = id
 
-	// Operation caches (direct-mapped).
-	ite  []iteEntry
-	bin  []binEntry
-	un   []unEntry
-	rel  []relEntry
-	sat  map[Node]float64
-	perm []permutation
+	// Operation caches (direct-mapped, grown with the live node count; see
+	// sizeCaches). cacheGrowAt is the live count past which mk doubles them.
+	ite         []iteEntry
+	bin         []binEntry
+	un          []unEntry
+	rel         []relEntry
+	cacheGrowAt int64
+	sat         map[Node]float64
+	perm        []permutation
 
 	// cacheEpoch is the generation stamp for all op-cache entries; entries
 	// written under an older epoch read as misses. Starts at 1 so that
@@ -84,6 +86,8 @@ type Manager struct {
 	recentPos   int
 	markBuf     []uint64 // reusable mark bitset
 	markStack   []Node   // reusable mark traversal stack
+	countMarks  []uint64 // NodeCount's mark bitset, all zero between calls
+	countList   []Node   // NodeCount's visit list
 
 	// Dynamic reordering (see order.go).
 	reorderThreshold  int64     // allocations between automatic sifting passes (<=0 disables)
@@ -182,6 +186,7 @@ const (
 	opForall
 	opReplace
 	opSimplify
+	opDiff // f ∧ ¬g
 	opCof0 // cofactor w.r.t. the variable at a level (param = level)
 	opCof1
 	// ADD operations (see add.go). The binary ops share the bin cache with
@@ -196,32 +201,29 @@ const (
 )
 
 const (
-	defaultCacheBits = 20 // 2^20 entries per cache
-	initialNodeCap   = 1 << 20
+	// The op caches start at cacheMinSlots entries each and double whenever
+	// an allocation pushes the live node count past cacheLoad times the slot
+	// count, up to cacheMaxSlots — BuDDy's cache ratio and CUDD's cache
+	// growth. The rule keys on live nodes, not on the unique table, which
+	// Shared.Begin over-sizes for concurrent insertion.
+	cacheMinSlots = 1 << 14
+	cacheMaxSlots = 1 << 20
+	cacheLoad     = 8
+	// viewCacheSlots sizes a shared-mode view's caches. A view owns no node
+	// table to key a growth rule on, so its caches stay at this size.
+	viewCacheSlots = 1 << 16
+
+	initialNodeCap = 1 << 20
 )
 
 // New creates an empty Manager with no variables. Call NewVar (or NewVars) to
 // allocate variables; the creation order defines the global variable order.
 func New() *Manager {
-	return NewSized(defaultCacheBits)
-}
-
-// NewSized creates an empty Manager whose operation caches hold 2^cacheBits
-// entries each. The default (New) is tuned for a synthesis that owns the
-// machine; worker managers in a Pool use fewer bits so that N workers do not
-// multiply the memory footprint by N.
-func NewSized(cacheBits int) *Manager {
-	if cacheBits < 10 || cacheBits > 28 {
-		panic(fmt.Sprintf("bdd: NewSized: cacheBits %d out of range [10,28]", cacheBits))
-	}
 	m := &Manager{
 		nodes: make([]node, 2, initialNodeCap),
-		ite:   make([]iteEntry, 1<<cacheBits),
-		bin:   make([]binEntry, 1<<cacheBits),
-		un:    make([]unEntry, 1<<cacheBits),
-		rel:   make([]relEntry, 1<<cacheBits),
 		sat:   make(map[Node]float64),
 	}
+	m.sizeCaches(cacheMinSlots)
 	m.cacheEpoch = 1
 	m.nodes[False] = node{level: terminalLevel, low: False, high: False}
 	m.nodes[True] = node{level: terminalLevel, low: True, high: True}
@@ -239,6 +241,21 @@ func NewSized(cacheBits int) *Manager {
 	}
 	m.reorderNextSize = reorderFirstSize
 	return m
+}
+
+// sizeCaches allocates fresh op caches of the given number of slots each,
+// dropping every entry, and sets the live count at which mk next doubles
+// them. Growing inside a recursion is safe: no caller holds a cache entry
+// across mk.
+func (m *Manager) sizeCaches(slots int) {
+	m.ite = make([]iteEntry, slots)
+	m.bin = make([]binEntry, slots)
+	m.un = make([]unEntry, slots)
+	m.rel = make([]relEntry, slots)
+	m.cacheGrowAt = math.MaxInt64
+	if slots < cacheMaxSlots {
+		m.cacheGrowAt = int64(cacheLoad * slots)
+	}
 }
 
 // CheckNode panics if f cannot be a Node of this manager. Node values are
@@ -401,6 +418,9 @@ func (m *Manager) mk(level int32, low, high Node) Node {
 		m.gcPending = true
 		m.budgetHit = true
 	}
+	if live > m.cacheGrowAt {
+		m.sizeCaches(2 * len(m.bin))
+	}
 	if uint64(live)*4 > uint64(len(m.unique))*3 {
 		m.growUnique(uint64(len(m.unique)) * 2)
 	}
@@ -423,11 +443,6 @@ func (m *Manager) growUnique(capacity uint64) {
 		m.unique[h] = Node(i)
 	}
 }
-
-// ClearCaches drops all memoized operation results. Node storage is kept.
-//
-// Deprecated: use FlushCaches.
-func (m *Manager) ClearCaches() { m.FlushCaches() }
 
 // FlushCaches drops all memoized operation results — the direct-mapped ITE,
 // binary, unary and relational-product caches plus the sat-count memo. Node

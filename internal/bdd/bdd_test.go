@@ -447,18 +447,18 @@ func TestNodeCount(t *testing.T) {
 	}
 }
 
-func TestClearCachesPreservesSemantics(t *testing.T) {
+func TestFlushCachesPreservesSemantics(t *testing.T) {
 	m := New()
 	vars := m.NewVars(6)
 	f := m.And(vars[0], m.Or(vars[1], vars[2]))
 	before := m.SatCount(f)
-	m.ClearCaches()
+	m.FlushCaches()
 	g := m.And(vars[0], m.Or(vars[1], vars[2]))
 	if g != f {
-		t.Fatal("rebuilding after ClearCaches produced a different node")
+		t.Fatal("rebuilding after FlushCaches produced a different node")
 	}
 	if m.SatCount(g) != before {
-		t.Fatal("SatCount changed after ClearCaches")
+		t.Fatal("SatCount changed after FlushCaches")
 	}
 }
 

@@ -115,7 +115,7 @@ func BenchmarkSatCount(b *testing.B) {
 	rel, _, _ := buildChainRelation(m, 12, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ClearCaches()
+		m.FlushCaches()
 		m.SatCount(rel)
 	}
 }

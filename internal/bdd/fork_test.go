@@ -8,6 +8,8 @@ package bdd
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -65,7 +67,7 @@ func TestSharedForkJoin(t *testing.T) {
 		want[3*p+2] = sc.Keep(m.AndExists(f, g, cube))
 	}
 
-	s := NewShared(m, 4, 12)
+	s := NewShared(m, 4)
 	defer s.Close()
 	got := make([]Node, len(want))
 	s.Begin()
@@ -123,7 +125,7 @@ func TestSharedForkJoinSingleTask(t *testing.T) {
 	g := sc.Keep(forkFormula(m, vars, 202))
 	want := sc.Keep(m.And(f, g))
 
-	s := NewShared(m, 4, 12)
+	s := NewShared(m, 4)
 	defer s.Close()
 	var got Node
 	s.Begin()
@@ -150,11 +152,89 @@ func TestSharedForkJoinSingleTask(t *testing.T) {
 	}
 }
 
+// TestSharedForkJoinDiff runs Diff through the fork/join path: forked
+// opDiff recursions across four views must land on the serial nodes, and an
+// opDiff task that its spawner never joins must be stolen and executed on the
+// thief's view through runOpTask.
+func TestSharedForkJoinDiff(t *testing.T) {
+	m := New()
+	vars := m.NewVars(24)
+	for _, x := range vars {
+		m.Ref(x)
+	}
+	sc := m.Protect()
+	defer sc.Release()
+	const tasks = 4
+	fs := make([]Node, tasks+1)
+	for i := range fs {
+		fs[i] = sc.Keep(forkFormula(m, vars, 31*i+5))
+	}
+	want := make([]Node, tasks)
+	for i := range want {
+		want[i] = sc.Keep(m.Diff(fs[i], fs[i+1]))
+	}
+
+	s := NewShared(m, 4)
+	defer s.Close()
+	got := make([]Node, tasks)
+	s.Begin()
+	err := s.Run(context.Background(), tasks, func(w, task int) error {
+		v := s.View(w)
+		got[task] = v.Ref(v.Diff(fs[task], fs[task+1]))
+		return nil
+	})
+	s.End()
+	if err != nil {
+		t.Fatalf("Shared.Run: %v", err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("task %d: forked Diff node %d != serial node %d", i, got[i], want[i])
+		}
+	}
+	spawns, _ := s.OpStats()
+	if spawns == 0 {
+		t.Fatal("no opDiff tasks spawned: fork sites never fired")
+	}
+
+	// Forced steal: the spawner waits on the opTask without popping it back,
+	// so only the other worker can run it.
+	var stolen Node
+	s.Begin()
+	err = s.Run(context.Background(), 1, func(w, task int) error {
+		ot := s.View(w).forkSpawn(opDiff, fs[0], fs[1], False)
+		for atomic.LoadUint32(&ot.state) == opTaskPending {
+			runtime.Gosched()
+		}
+		if atomic.LoadUint32(&ot.state) != opTaskDone {
+			return errors.New("stolen opDiff task aborted")
+		}
+		stolen = s.View(w).Ref(ot.res)
+		return nil
+	})
+	s.End()
+	if err != nil {
+		t.Fatalf("Shared.Run: %v", err)
+	}
+	if stolen != want[0] {
+		t.Fatalf("stolen opDiff task gave node %d, serial Diff node %d", stolen, want[0])
+	}
+	if _, steals := s.OpStats(); steals == 0 {
+		t.Fatal("the unjoined opDiff task was never stolen")
+	}
+	for w := 0; w < s.Workers(); w++ {
+		v := s.View(w)
+		for n := range v.refs {
+			delete(v.refs, n)
+		}
+	}
+}
+
 // TestSharedForkJoinTableFull exhausts a tiny region while forked opTasks are
 // in flight: every abort must unwind (spawner spins see the abort flag, no
 // hang), and after Bump the retry must produce the serial results.
 func TestSharedForkJoinTableFull(t *testing.T) {
-	m := NewSized(10)
+	m := New()
 	vars := m.NewVars(20)
 	for _, x := range vars {
 		m.Ref(x)
@@ -163,7 +243,7 @@ func TestSharedForkJoinTableFull(t *testing.T) {
 	defer sc.Release()
 	const tasks = 4
 
-	s := NewShared(m, 3, 10)
+	s := NewShared(m, 3)
 	defer s.Close()
 	s.minCap = 64 // tiny region capacity: the first round must blow
 	sawFull := false

@@ -98,6 +98,37 @@ func TestGCNodeReuse(t *testing.T) {
 	}
 }
 
+// randFormula is the random-formula generator the property tests share. It
+// draws one operation — And, Or, Xor, Diff, Not, ITE, AndExists, or
+// Exists/Forall over a random two-variable cube — with operands picked from a
+// pool of n live functions, and returns it as a closure that performs the
+// operation on a manager, given that manager's copy of the pool. The pool's
+// nodes must be rooted: the cube is built after the operands are read.
+func randFormula(rng *rand.Rand, n, nvars int) func(m *Manager, p []Node) Node {
+	x, y, z := rng.Intn(n), rng.Intn(n), rng.Intn(n)
+	levels := []int{rng.Intn(nvars), rng.Intn(nvars)}
+	switch rng.Intn(9) {
+	case 0:
+		return func(m *Manager, p []Node) Node { return m.And(p[x], p[y]) }
+	case 1:
+		return func(m *Manager, p []Node) Node { return m.Or(p[x], p[y]) }
+	case 2:
+		return func(m *Manager, p []Node) Node { return m.Xor(p[x], p[y]) }
+	case 3:
+		return func(m *Manager, p []Node) Node { return m.Diff(p[x], p[y]) }
+	case 4:
+		return func(m *Manager, p []Node) Node { return m.Not(p[x]) }
+	case 5:
+		return func(m *Manager, p []Node) Node { return m.ITE(p[x], p[y], p[z]) }
+	case 6:
+		return func(m *Manager, p []Node) Node { return m.AndExists(p[x], p[y], m.Cube(levels)) }
+	case 7:
+		return func(m *Manager, p []Node) Node { return m.Exists(p[x], m.Cube(levels)) }
+	default:
+		return func(m *Manager, p []Node) Node { return m.Forall(p[x], m.Cube(levels)) }
+	}
+}
+
 // TestGCPropertyTwinManager is the GC correctness property test: it
 // interleaves random formula construction, rooting/unrooting, and forced
 // collections on one manager while mirroring the same operations on a
@@ -107,54 +138,31 @@ func TestGCPropertyTwinManager(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 
 	for round := 0; round < 20; round++ {
-		a := NewSized(10) // manager under test: forced GC
-		b := NewSized(10) // twin: never collects
+		a := New() // manager under test: forced GC
+		b := New() // twin: never collects
 		a.SetGCThreshold(0)
 		b.SetGCThreshold(0)
 		a.NewVars(nvars)
 		b.NewVars(nvars)
 
-		type pair struct{ a, b Node }
-		live := []pair{}
+		var la, lb []Node // live functions, pairwise equal across a and b
 		for i := 0; i < nvars; i++ {
-			live = append(live, pair{a.Ref(a.Var(i)), b.Var(i)})
+			la = append(la, a.Ref(a.Var(i)))
+			lb = append(lb, b.Var(i))
 		}
 
-		pick := func() pair { return live[rng.Intn(len(live))] }
 		for step := 0; step < 300; step++ {
 			switch op := rng.Intn(10); {
-			case op < 3: // binary op
-				x, y := pick(), pick()
-				var ra, rb Node
-				switch rng.Intn(3) {
-				case 0:
-					ra, rb = a.And(x.a, y.a), b.And(x.b, y.b)
-				case 1:
-					ra, rb = a.Or(x.a, y.a), b.Or(x.b, y.b)
-				default:
-					ra, rb = a.Xor(x.a, y.a), b.Xor(x.b, y.b)
-				}
-				live = append(live, pair{a.Ref(ra), rb})
-			case op < 4: // negation
-				x := pick()
-				live = append(live, pair{a.Ref(a.Not(x.a)), b.Not(x.b)})
-			case op < 5: // ITE
-				x, y, z := pick(), pick(), pick()
-				live = append(live, pair{a.Ref(a.ITE(x.a, y.a, z.a)), b.ITE(x.b, y.b, z.b)})
-			case op < 6: // quantification over a random cube
-				levels := []int{rng.Intn(nvars), rng.Intn(nvars)}
-				x := pick()
-				ca, cb := a.Cube(levels), b.Cube(levels)
-				if rng.Intn(2) == 0 {
-					live = append(live, pair{a.Ref(a.Exists(x.a, ca)), b.Exists(x.b, cb)})
-				} else {
-					live = append(live, pair{a.Ref(a.Forall(x.a, ca)), b.Forall(x.b, cb)})
-				}
+			case op < 6:
+				f := randFormula(rng, len(la), nvars)
+				la = append(la, a.Ref(f(a, la)))
+				lb = append(lb, f(b, lb))
 			case op < 8: // unroot a random pair (keep the variables alive)
-				if len(live) > nvars {
-					i := nvars + rng.Intn(len(live)-nvars)
-					a.Deref(live[i].a)
-					live = append(live[:i], live[i+1:]...)
+				if len(la) > nvars {
+					i := nvars + rng.Intn(len(la)-nvars)
+					a.Deref(la[i])
+					la = append(la[:i], la[i+1:]...)
+					lb = append(lb[:i], lb[i+1:]...)
 				}
 			default: // forced collection on the manager under test
 				a.GC()
@@ -163,17 +171,47 @@ func TestGCPropertyTwinManager(t *testing.T) {
 		a.GC()
 
 		// Every surviving pair must denote the same function.
-		for i, p := range live {
+		for i := range la {
 			for bits := 0; bits < 1<<nvars; bits++ {
 				asg := assignment(bits, nvars)
-				if a.Eval(p.a, asg) != b.Eval(p.b, asg) {
+				if a.Eval(la[i], asg) != b.Eval(lb[i], asg) {
 					t.Fatalf("round %d: pair %d diverges at assignment %06b", round, i, bits)
 				}
 			}
-			if a.SatCount(p.a) != b.SatCount(p.b) {
+			if a.SatCount(la[i]) != b.SatCount(lb[i]) {
 				t.Fatalf("round %d: pair %d SatCount diverges", round, i)
 			}
 		}
+	}
+}
+
+// TestDiffMatchesAndNot checks the native Diff against its definition
+// And(f, Not(g)) node for node (in one hash-consed table the same function
+// is the same node) on random functions, the constants, and equal operands.
+// Under REPRO_GC_STRESS collections land between the two computations.
+func TestDiffMatchesAndNot(t *testing.T) {
+	const nvars = 8
+	rng := rand.New(rand.NewSource(7))
+	m := New()
+	m.NewVars(nvars)
+	pool := []Node{False, True}
+	for i := 0; i < nvars; i++ {
+		pool = append(pool, m.Ref(m.Var(i)))
+	}
+	for len(pool) < 200 {
+		f := randFormula(rng, len(pool), nvars)
+		pool = append(pool, m.Ref(f(m, pool)))
+	}
+	for i := 0; i < 4000; i++ {
+		f, g := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+		if i%50 == 0 {
+			g = f
+		}
+		d := m.Ref(m.Diff(f, g))
+		if want := m.And(f, m.Not(g)); d != want {
+			t.Fatalf("Diff(%d, %d) = node %d, And(f, Not(g)) = node %d", f, g, d, want)
+		}
+		m.Deref(d)
 	}
 }
 
@@ -183,7 +221,7 @@ func TestGCPropertyTwinManager(t *testing.T) {
 // not influence any function the computation produces.
 func TestGCDeterministicExports(t *testing.T) {
 	build := func(threshold int64) [][]byte {
-		m := NewSized(10)
+		m := New()
 		m.SetGCThreshold(threshold)
 		m.NewVars(10)
 		acc := m.NewRooted(True)
@@ -212,7 +250,7 @@ func TestGCDeterministicExports(t *testing.T) {
 // TestNodeBudget checks that exceeding the budget surfaces as a *BudgetError
 // panic at a safe point, and that a budget that GC can satisfy does not trip.
 func TestNodeBudget(t *testing.T) {
-	m := NewSized(10)
+	m := New()
 	m.SetGCThreshold(0)
 	m.NewVars(16)
 	m.SetNodeBudget(64)
@@ -246,7 +284,7 @@ func TestNodeBudget(t *testing.T) {
 
 	// A generous budget over collectable garbage must not trip: the safe
 	// point collects and continues.
-	m2 := NewSized(10)
+	m2 := New()
 	m2.SetGCThreshold(0)
 	m2.NewVars(12)
 	m2.SetNodeBudget(8192)

@@ -243,23 +243,36 @@ func insertionSortAsc(a []int) {
 
 // NodeCount returns the number of distinct nodes in the DAG rooted at f,
 // including terminals reachable from it.
+//
+// The fixpoint scheduler calls it once per image, so it allocates nothing in
+// the steady state: a reusable mark bitset over the node table, and a visit
+// list that is both the worklist and, at the end, the list of marks to clear
+// (the bitset is all zero between calls).
 func (m *Manager) NodeCount(f Node) int {
-	seen := make(map[Node]bool)
-	var rec func(Node)
-	rec = func(g Node) {
-		if seen[g] {
-			return
-		}
-		seen[g] = true
-		if m.IsTerminal(g) {
-			return
-		}
-		n := m.nodes[g]
-		rec(n.low)
-		rec(n.high)
+	if words := (cap(m.nodes) + 63) / 64; len(m.countMarks) < words {
+		m.countMarks = make([]uint64, words)
 	}
-	rec(f)
-	return len(seen)
+	marks := m.countMarks
+	visit := append(m.countList[:0], f)
+	marks[f>>6] |= 1 << (uint(f) & 63)
+	for i := 0; i < len(visit); i++ {
+		g := visit[i]
+		if g <= True {
+			continue
+		}
+		n := &m.nodes[g]
+		for _, c := range [2]Node{n.low, n.high} {
+			if w, b := c>>6, uint(c)&63; marks[w]&(1<<b) == 0 {
+				marks[w] |= 1 << b
+				visit = append(visit, c)
+			}
+		}
+	}
+	for _, g := range visit {
+		marks[g>>6] = 0 // every set bit belongs to a visited node
+	}
+	m.countList = visit[:0]
+	return len(visit)
 }
 
 // String renders f as a disjunction of cubes (up to a small limit), mainly

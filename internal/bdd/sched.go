@@ -12,9 +12,9 @@ package bdd
 //     deque is invisible next to the BDD work inside.
 //
 //   - Operation grain (fork/join apply, Shared.Run only): inside a running
-//     task, the top recursion levels of And/Or/AndExists spawn their high
-//     branch as a stealable opTask on the spawner's own deque, compute the
-//     low branch inline, and join before the mk and the cache write. If
+//     task, the top recursion levels of And/Or/Diff/AndExists spawn their
+//     high branch as a stealable opTask on the spawner's own deque, compute
+//     the low branch inline, and join before the mk and the cache write. If
 //     nobody stole the spawn, the join pops it back (it is necessarily the
 //     back item — joins nest LIFO) and runs it inline on the spawner's view,
 //     so an uncontended fork costs one deque push/pop. If a thief took it,
@@ -49,7 +49,7 @@ import (
 
 // opTask is one spawned high branch of a forked apply recursion.
 type opTask struct {
-	op    uint32 // opAnd, opOr, or opAndExists
+	op    uint32 // opAnd, opOr, opDiff, or opAndExists
 	f, g  Node
 	cube  Node   // quantification cube (opAndExists only)
 	res   Node   // written by the executor before publishing state
@@ -382,6 +382,8 @@ func (m *Manager) runOpTask(ot *opTask) Node {
 		return m.andRec(ot.f, ot.g)
 	case opOr:
 		return m.orRec(ot.f, ot.g)
+	case opDiff:
+		return m.diffRec(ot.f, ot.g)
 	default:
 		return m.andExistsRec(ot.f, ot.g, ot.cube)
 	}

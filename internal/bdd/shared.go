@@ -55,7 +55,6 @@ package bdd
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -114,7 +113,7 @@ func (s *Shared) OpStats() (spawns, steals int64) { return s.opSpawns, s.opSteal
 
 // Run executes fn once per task index in [0, tasks) across the session's
 // worker views inside the current parallel region — RunSteal with
-// op-internal fork/join enabled: while fn(w, task) runs a large And/Or/
+// op-internal fork/join enabled: while fn(w, task) runs a large And/Or/Diff/
 // AndExists on view w, the top recursion levels spawn their high branches as
 // stealable opTasks, so idle views parallelize a single giant operation
 // instead of waiting for the next task. Unlike RunSteal, surplus workers are
@@ -141,11 +140,11 @@ func (s *Shared) Run(ctx context.Context, tasks int, fn func(worker, task int) e
 }
 
 // NewShared builds a session with the given number of worker views, each with
-// private operation caches of 2^cacheBits entries. The primary must not be
+// private operation caches of a fixed 2^16 entries. The primary must not be
 // mid-operation. The session registers the views with the primary's collector
 // and reorderer so nodes rooted in a view survive barrier maintenance; Close
 // unregisters them.
-func NewShared(m *Manager, workers, cacheBits int) *Shared {
+func NewShared(m *Manager, workers int) *Shared {
 	if workers < 1 {
 		panic("bdd: NewShared: need at least one worker view")
 	}
@@ -154,7 +153,7 @@ func NewShared(m *Manager, workers, cacheBits int) *Shared {
 	}
 	s := &Shared{m: m, minCap: sharedMinCap, lastEpoch: m.cacheEpoch}
 	for i := 0; i < workers; i++ {
-		s.views = append(s.views, newView(cacheBits))
+		s.views = append(s.views, newView())
 	}
 	m.sharedViews = s.views
 	return s
@@ -162,17 +161,9 @@ func NewShared(m *Manager, workers, cacheBits int) *Shared {
 
 // newView allocates a Manager shell holding only view-private state: caches,
 // sat memo, rings, roots. The table headers are copied in at every Begin.
-func newView(cacheBits int) *Manager {
-	if cacheBits < 10 || cacheBits > 28 {
-		panic(fmt.Sprintf("bdd: newView: cacheBits %d out of range [10,28]", cacheBits))
-	}
-	v := &Manager{
-		ite: make([]iteEntry, 1<<cacheBits),
-		bin: make([]binEntry, 1<<cacheBits),
-		un:  make([]unEntry, 1<<cacheBits),
-		rel: make([]relEntry, 1<<cacheBits),
-		sat: make(map[Node]float64),
-	}
+func newView() *Manager {
+	v := &Manager{sat: make(map[Node]float64)}
+	v.sizeCaches(viewCacheSlots)
 	v.cacheEpoch = 1
 	return v
 }

@@ -49,7 +49,7 @@ func TestSharedCanonical(t *testing.T) {
 		want[i] = sc.Keep(sharedFormula(m, vars, i))
 	}
 
-	s := NewShared(m, 4, 12)
+	s := NewShared(m, 4)
 	defer s.Close()
 	got := make([]Node, tasks)
 	s.Begin()
@@ -86,7 +86,7 @@ func TestSharedContention(t *testing.T) {
 	for _, x := range vars {
 		m.Ref(x) // vars are held across GCs; the ring alone cannot root them
 	}
-	s := NewShared(m, workers, 10)
+	s := NewShared(m, workers)
 	defer s.Close()
 
 	for r := 0; r < rounds; r++ {
@@ -134,7 +134,7 @@ func TestSharedBarrierGC(t *testing.T) {
 	for _, x := range vars {
 		m.Ref(x) // vars are held across GCs; the ring alone cannot root them
 	}
-	s := NewShared(m, 2, 10)
+	s := NewShared(m, 2)
 	defer s.Close()
 
 	var kept []Node
@@ -187,12 +187,12 @@ func TestSharedBarrierGC(t *testing.T) {
 // retry protocol: RunSteal surfaces ErrSharedTableFull, Bump doubles the
 // capacity, and the rerun succeeds with canonical results.
 func TestSharedTableFull(t *testing.T) {
-	m := NewSized(10)
+	m := New()
 	vars := m.NewVars(10)
 	for _, x := range vars {
 		m.Ref(x) // vars are held across GCs; the ring alone cannot root them
 	}
-	s := NewShared(m, 2, 10)
+	s := NewShared(m, 2)
 	defer s.Close()
 	s.minCap = 64 // tiny region capacity: the first round must blow
 
@@ -260,7 +260,7 @@ func TestSharedExportIdentity(t *testing.T) {
 	for _, x := range vars {
 		m.Ref(x) // vars are held across GCs; the ring alone cannot root them
 	}
-	s := NewShared(m, 3, 10)
+	s := NewShared(m, 3)
 	defer s.Close()
 	parts := make([]Node, 3)
 	seeds := []int{3, 17, 29}
@@ -298,7 +298,7 @@ func TestSharedViewCacheInvalidation(t *testing.T) {
 	for _, x := range vars {
 		m.Ref(x) // vars are held across GCs; the ring alone cannot root them
 	}
-	s := NewShared(m, 1, 10)
+	s := NewShared(m, 1)
 	defer s.Close()
 
 	// Region 1: the view computes and caches f = x0&x1 .. chain, unrooted.
@@ -353,7 +353,7 @@ func TestSharedBudgetAtBarrier(t *testing.T) {
 		m.Ref(x) // vars are held across GCs; the ring alone cannot root them
 	}
 	m.SetNodeBudget(40) // far below what the formulas need
-	s := NewShared(m, 2, 10)
+	s := NewShared(m, 2)
 	defer s.Close()
 
 	s.Begin()

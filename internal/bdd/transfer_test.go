@@ -51,9 +51,9 @@ func TestTransferRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		nv := 1 + rng.Intn(12)
-		src := NewSized(10)
+		src := New()
 		src.NewVars(nv)
-		dst := NewSized(10)
+		dst := New()
 		dst.NewVars(nv)
 
 		f := randNode(src, rng, 3+rng.Intn(3))
@@ -154,7 +154,7 @@ func TestCheckNodeForeign(t *testing.T) {
 }
 
 func TestPoolMapOrderAndError(t *testing.T) {
-	workers := []*Manager{NewSized(10), NewSized(10)}
+	workers := []*Manager{New(), New()}
 	for _, w := range workers {
 		w.NewVars(4)
 	}

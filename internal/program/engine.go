@@ -35,11 +35,6 @@ func ParseMode(s string) (Mode, error) {
 	return "", fmt.Errorf("program: unknown engine mode %q (want %q or %q)", s, ModePartitioned, ModeShared)
 }
 
-// workerCacheBits sizes the worker clones' BDD operation caches. Workers see
-// one fan-out slice of the workload at a time, so they need far less cache
-// than the owner (defaultCacheBits = 20 would cost ~80MB per worker).
-const workerCacheBits = 16
-
 // Engine couples a compiled program (the owner) with a pool of private worker
 // clones for intra-job parallelism. BDD managers are single-threaded, so the
 // engine parallelizes by migration: the owner Exports the predicates a task
@@ -94,7 +89,7 @@ func NewEngine(c *Compiled, workers int) (*Engine, error) {
 	}
 	managers := make([]*bdd.Manager, 0, workers)
 	for i := 0; i < workers; i++ {
-		wc, err := c.Def.CompileSized(workerCacheBits)
+		wc, err := c.Def.Compile()
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +117,7 @@ func NewEngineMode(c *Compiled, mode Mode, workers int) (*Engine, error) {
 	if workers <= 1 {
 		return e, nil
 	}
-	e.shared = bdd.NewShared(c.Space.M, workers, workerCacheBits)
+	e.shared = bdd.NewShared(c.Space.M, workers)
 	for i := 0; i < workers; i++ {
 		e.views = append(e.views, c.View(e.shared.View(i)))
 	}

@@ -139,20 +139,20 @@ func chainBlock(ctx context.Context, sp *symbolic.Space, local *bdd.Rooted,
 				if front == bdd.False {
 					break // saturated until another partition adds states
 				}
-				if n := int64(m.NodeCount(front)); true {
-					if n > st.peak {
-						st.peak = n
-					}
-					st.final = n
+				n := int64(m.NodeCount(front))
+				if n > st.peak {
+					st.peak = n
 				}
+				st.final = n
 				seen[k].Set(local.Node())
 				img := image(sp, front, p, backward)
 				st.images++
-				add := m.Diff(img, local.Node())
-				if add == bdd.False {
+				// Canonicity makes the equality a subset test: img ⊆ local.
+				next := m.Or(local.Node(), img)
+				if next == local.Node() {
 					break
 				}
-				local.Set(m.Or(local.Node(), add))
+				local.Set(next)
 				progress = true
 			}
 		}
@@ -227,7 +227,7 @@ func (e *Engine) fixpoint(ctx context.Context, init bdd.Node, parts []bdd.Node, 
 		// others by a round), which only pays off when the round carries real
 		// work. Rounds below the threshold — the long sequential tail of
 		// chain-structured models — run as one owner-side block instead,
-		// which also keeps them on the owner's large operation cache.
+		// which also keeps them on the owner's growing operation cache.
 		if len(pidx) < 2 || work < e.fanoutThreshold() {
 			bparts := make([]bdd.Node, len(pidx))
 			for k, i := range pidx {

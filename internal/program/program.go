@@ -203,32 +203,15 @@ func (c *Compiled) View(vm *bdd.Manager) *Compiled {
 	return &cv
 }
 
-// Compile validates the definition and lowers it to BDDs.
+// Compile validates the definition and lowers it to BDDs in a fresh space.
+// Because compilation is deterministic, two compiles of the same Def produce
+// spaces with identical variable orders — the property the parallel engine
+// relies on to migrate predicates between the owner and its worker clones.
 func (d *Def) Compile() (*Compiled, error) {
 	space, err := symbolic.New(d.Vars)
 	if err != nil {
 		return nil, err
 	}
-	return d.compileInto(space)
-}
-
-// CompileSized is Compile with explicit BDD operation-cache sizing (2^cacheBits
-// entries per cache). The parallel engine compiles its worker clones this way
-// so that N workers do not multiply the default cache footprint by N.
-func (d *Def) CompileSized(cacheBits int) (*Compiled, error) {
-	space, err := symbolic.NewSized(d.Vars, cacheBits)
-	if err != nil {
-		return nil, err
-	}
-	return d.compileInto(space)
-}
-
-// compileInto lowers the definition onto an existing (empty) space. Because
-// compilation is deterministic, two compiles of the same Def produce spaces
-// with identical variable orders — the property the parallel engine relies on
-// to migrate predicates between the owner and its worker clones.
-func (d *Def) compileInto(space *symbolic.Space) (*Compiled, error) {
-	var err error
 	c := &Compiled{Def: d, Space: space, Trans: bdd.False, Fault: bdd.False, AnyWrite: bdd.False}
 	m := space.M
 

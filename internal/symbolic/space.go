@@ -47,9 +47,10 @@ type Space struct {
 	nextCube bdd.Node // cube of all next-state bits
 	swap     *bdd.Permutation
 
-	validCur  bdd.Node // excludes unused bit patterns of non-power-of-2 domains
-	validNext bdd.Node
-	identity  bdd.Node // all variables unchanged (over valid patterns)
+	validCur   bdd.Node // excludes unused bit patterns of non-power-of-2 domains
+	validNext  bdd.Node
+	validTrans bdd.Node // validCur ∧ validNext
+	identity   bdd.Node // all variables unchanged (over valid patterns)
 
 	totalBits int
 }
@@ -58,18 +59,7 @@ type Space struct {
 // the BDD variable order (earlier variables higher in the order), which for
 // the chain and agreement models of the paper gives compact BDDs.
 func New(specs []VarSpec) (*Space, error) {
-	return newSpace(bdd.New(), specs)
-}
-
-// NewSized is New with explicit operation-cache sizing (2^cacheBits entries
-// per cache). Worker spaces in a parallel engine use small caches so that N
-// workers do not multiply the default footprint by N.
-func NewSized(specs []VarSpec, cacheBits int) (*Space, error) {
-	return newSpace(bdd.NewSized(cacheBits), specs)
-}
-
-func newSpace(m *bdd.Manager, specs []VarSpec) (*Space, error) {
-	s := &Space{M: m, byName: make(map[string]*Var)}
+	s := &Space{M: bdd.New(), byName: make(map[string]*Var)}
 	for _, spec := range specs {
 		if spec.Domain < 2 {
 			return nil, fmt.Errorf("symbolic: variable %q has domain %d; need at least 2", spec.Name, spec.Domain)
@@ -164,6 +154,7 @@ func (s *Space) finish() {
 	}
 	s.validCur = m.Ref(vc.Node())
 	s.validNext = m.Ref(vn.Node())
+	s.validTrans = m.Ref(m.And(s.validCur, s.validNext))
 	s.identity = m.Ref(id.Node())
 	s.curCube = m.Ref(m.Cube(curLevels))
 	s.nextCube = m.Ref(m.Cube(nextLevels))
@@ -203,7 +194,7 @@ func (s *Space) ValidNext() bdd.Node { return s.validNext }
 
 // ValidTrans is the conjunction ValidCur ∧ ValidNext: the universe of
 // well-formed transitions.
-func (s *Space) ValidTrans() bdd.Node { return s.M.And(s.validCur, s.validNext) }
+func (s *Space) ValidTrans() bdd.Node { return s.validTrans }
 
 // Identity is the transition predicate that leaves every variable unchanged.
 func (s *Space) Identity() bdd.Node { return s.identity }

@@ -290,3 +290,35 @@ func TestReachablePartsSkipsEmptyPartitions(t *testing.T) {
 		t.Fatal("backward with no partitions should be the target itself")
 	}
 }
+
+// TestValidTransComputedOnce checks that ValidTrans is one rooted node,
+// computed when the space is built: it equals ValidCur ∧ ValidNext, reading
+// it runs no BDD operation, it survives a collection, and a shared-session
+// view of the space returns the same node.
+func TestValidTransComputedOnce(t *testing.T) {
+	s := twoCounterSpace(t)
+	m := s.M
+	vt := s.ValidTrans()
+	if want := m.And(s.ValidCur(), s.ValidNext()); vt != want {
+		t.Fatalf("ValidTrans = node %d, ValidCur ∧ ValidNext = node %d", vt, want)
+	}
+	if vt == bdd.True {
+		t.Fatal("domain 3 has an unused encoding; ValidTrans must not be True")
+	}
+	before := m.Stats()
+	for i := 0; i < 3; i++ {
+		if got := s.ValidTrans(); got != vt {
+			t.Fatalf("call %d returned node %d, want %d", i+2, got, vt)
+		}
+	}
+	if after := m.Stats(); after.CacheHits != before.CacheHits || after.CacheMisses != before.CacheMisses {
+		t.Fatal("ValidTrans ran a BDD operation; it must return the stored node")
+	}
+	m.GC()
+	m.CheckNode(vt)
+	sh := bdd.NewShared(m, 1)
+	defer sh.Close()
+	if got := s.View(sh.View(0)).ValidTrans(); got != vt {
+		t.Fatalf("view ValidTrans = node %d, want %d", got, vt)
+	}
+}
