@@ -38,9 +38,11 @@ func TestWorkersDeterministic(t *testing.T) {
 		// Weighted runs: the ADD weight layer, cheapest-first cycle breaking,
 		// and recovery thinning must all be worker-count-invariant — Normalized
 		// keeps achieved_cost/cost_removed, so any divergence fails the byte
-		// comparison.
+		// comparison. ba and bafs thin by local commits only; tmr's trial
+		// touches the span, so it runs thinning's exact loop on the pool.
 		{"ba", 3, LazyRepair, true, true},
 		{"bafs", 2, LazyRepair, true, true},
+		{"tmr", 0, LazyRepair, true, true},
 	}
 	for _, tc := range cases {
 		if testing.Short() && !tc.short {
@@ -138,10 +140,11 @@ func TestSharedDeterministic(t *testing.T) {
 		// Deep diameter: fan-out rounds, fork/join under the views, and the
 		// owner-side serial tail all on one instance.
 		{"sc", 12, LazyRepair, false, false},
-		// Weighted run: all ADD work happens on the primary manager between
+		// Weighted runs: all ADD work happens on the primary manager between
 		// parallel regions, so shared mode must match serial byte-for-byte on
-		// the cost fields too.
+		// the cost fields too. tmr runs thinning's exact loop on the views.
 		{"ba", 3, LazyRepair, true, true},
+		{"tmr", 0, LazyRepair, true, true},
 	}
 	for _, tc := range cases {
 		if testing.Short() && !tc.short {

@@ -93,21 +93,43 @@ func cheapestClass(m *bdd.Manager, delta, w bdd.Node) bdd.Node {
 	return m.And(delta, m.Diff(atLeast, m.Threshold(priced, v+1)))
 }
 
+// thinAlwaysExact sends every thinning trial through the exact loop,
+// bypassing the local commit. Only tests set it: it is the reference the
+// local commit is checked against.
+var thinAlwaysExact bool
+
 // thinRecovery is the convergence-time cost-minimization pass of lazy
-// repair. parts must be the converged realized per-process relations (every
-// state of the certified span outside the invariant reaches the invariant,
-// and the sub-relation outside the invariant is acyclic). The pass walks the
-// synthesized recovery transitions — kept transitions outside the repaired
-// invariant that the fault-intolerant program did not already have — from
-// the most expensive read-restriction group class down (per
-// program.GroupMinCost), and per process removes whole group classes,
-// re-adding exactly the groups whose loss left some reachable fault-span
-// state unable to recover. Removal is the only mutation, so livelock
-// freedom, realizability (full groups only), and every safety property of
-// the converged relation are preserved; parts and partSlots are updated in
-// place and the recomputed certified span of the thinned relation is
-// returned (rooted via the caller's scope when kept).
-func thinRecovery(ctx context.Context, eng *program.Engine, invariant, w bdd.Node,
+// repair. parts must be the converged realized per-process relations R and
+// span their certified span S: the states reachable from the invariant under
+// R and the faults. Every state of S outside the invariant must recover
+// under R (the sub-relation outside the invariant is acyclic and deadlocks
+// nowhere in S); lazy's convergence check establishes this, and every commit
+// below preserves it. The pass walks the synthesized recovery transitions —
+// kept transitions outside the repaired invariant that the fault-intolerant
+// program did not already have — from the most expensive read-restriction
+// group class down (per program.GroupMinCost), and per process tries to
+// remove each whole group class:
+//
+//   - Local commit. If no removed transition starts in S, the trial commits
+//     without a fixpoint. S is closed under R, so every path from the
+//     invariant into S lies inside S, and so does every recovery path out of
+//     S∖invariant; neither kind can use a removed transition. The trial's
+//     span is therefore S again and no state of it is broken, so the exact
+//     loop would reach the same commit after two fixpoints. This is the
+//     locality the paper's Step 2 uses when it treats transitions that start
+//     outside the fault-span as free.
+//   - Exact loop. Otherwise the trial recomputes its span (forward) and the
+//     states that can still recover (backward), re-adds exactly the groups
+//     whose loss left some span state unable to recover, and repeats until
+//     nothing is broken (commit) or everything was re-added (no change).
+//
+// Removal is the only mutation, so livelock freedom, realizability (full
+// groups only), and every safety property of the converged relation are
+// preserved. parts and partSlots are updated in place. S is carried across
+// trials — a local commit keeps it, an exact commit replaces it with the
+// trial's span — and is returned as the certified span of the thinned
+// relation (rooted via the caller's scope when kept).
+func thinRecovery(ctx context.Context, eng *program.Engine, invariant, span, w bdd.Node,
 	parts []bdd.Node, partSlots []*bdd.Rooted, opts *Options) (bdd.Node, error) {
 	c := eng.C
 	m := c.Space.M
@@ -116,6 +138,7 @@ func thinRecovery(ctx context.Context, eng *program.Engine, invariant, w bdd.Nod
 	defer sc.Release()
 	sc.Keep(invariant)
 	sc.Keep(w)
+	spanS := sc.Slot(span)
 
 	// reach/backward recompute the certificate of a trial relation: the span
 	// reachable from the invariant under program+faults, and the states that
@@ -127,20 +150,20 @@ func thinRecovery(ctx context.Context, eng *program.Engine, invariant, w bdd.Nod
 	// Original program transitions are never thinned: deleting them is what
 	// CostRemoved charges for, the opposite of this pass's objective.
 	orig := sc.Keep(m.And(c.Trans, s.ValidTrans()))
-	for j := range parts {
-		if err := cancelled(ctx); err != nil {
-			return bdd.False, err
-		}
+
+	// thinProc thins process j's recovery. It owns its scope, so every exit
+	// (cancellation and engine errors included) releases what it rooted.
+	thinProc := func(j int) error {
 		p := c.Procs[j]
 		psc := m.Protect()
+		defer psc.Release()
 		// Groups with a member inside the invariant or in the original
 		// program are anchored: groups are removed whole or not at all, and
 		// anchored members must stay.
 		anchored := psc.Keep(p.Group(m.And(parts[j], m.Or(invariant, orig))))
 		cand := psc.Keep(m.Diff(m.AndN(parts[j], m.Not(invariant), m.Not(orig)), anchored))
 		if cand == bdd.False {
-			psc.Release()
-			continue
+			return nil
 		}
 		gcost := psc.Keep(p.GroupMinCost(cand, w))
 		classes := m.AddTerminals(gcost)
@@ -160,11 +183,14 @@ func thinRecovery(ctx context.Context, eng *program.Engine, invariant, w bdd.Nod
 			}
 			trial := isc.Slot(m.Diff(parts[j], removal))
 			removed := isc.Slot(removal)
-			committed := false
-			for {
+			// The span constrains current-state bits only, so an empty
+			// conjunction means no removed transition starts in it: the
+			// local commit.
+			committed := !thinAlwaysExact && m.And(spanS.Node(), removal) == bdd.False
+			for !committed {
 				if err := cancelled(ctx); err != nil {
 					isc.Release()
-					return bdd.False, err
+					return err
 				}
 				if removed.Node() == bdd.False {
 					// Everything re-added: the trial equals the converged
@@ -173,20 +199,21 @@ func thinRecovery(ctx context.Context, eng *program.Engine, invariant, w bdd.Nod
 				}
 				ps := append([]bdd.Node{}, parts...)
 				ps[j] = trial.Node()
-				span, err := reach(ps)
+				trialSpan, err := reach(ps)
 				if err != nil {
 					isc.Release()
-					return bdd.False, engineErr(ctx, err)
+					return engineErr(ctx, err)
 				}
-				isc.Keep(span)
+				isc.Keep(trialSpan)
 				back, err := eng.BackwardReachableParts(ctx, invariant, ps)
 				if err != nil {
 					isc.Release()
-					return bdd.False, engineErr(ctx, err)
+					return engineErr(ctx, err)
 				}
 				isc.Keep(back)
-				broken := m.Diff(m.Diff(span, invariant), back)
+				broken := m.Diff(m.Diff(trialSpan, invariant), back)
 				if broken == bdd.False {
+					spanS.Set(trialSpan)
 					committed = true
 					break
 				}
@@ -208,11 +235,15 @@ func thinRecovery(ctx context.Context, eng *program.Engine, invariant, w bdd.Nod
 			}
 			isc.Release()
 		}
-		psc.Release()
+		return nil
 	}
-	span, err := reach(parts)
-	if err != nil {
-		return bdd.False, engineErr(ctx, err)
+	for j := range parts {
+		if err := cancelled(ctx); err != nil {
+			return bdd.False, err
+		}
+		if err := thinProc(j); err != nil {
+			return bdd.False, err
+		}
 	}
-	return span, nil
+	return spanS.Node(), nil
 }

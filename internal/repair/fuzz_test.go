@@ -169,6 +169,60 @@ func TestFuzzLazySoundness(t *testing.T) {
 	}
 }
 
+// TestFuzzLazyCostedSoundness: cost-aware lazy repair on random models
+// under random weights keeps the cost-blind verdict, verifies, never keeps
+// more recovery cost than the cost-blind run under the same weights, and
+// thins exactly as the all-exact reference does.
+func TestFuzzLazyCostedSoundness(t *testing.T) {
+	iterations := 120
+	if testing.Short() {
+		iterations = 40
+	}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(20261017))
+	repaired, refused := 0, 0
+	for i := 0; i < iterations; i++ {
+		d := randomModel(rng)
+		cm := drawWeights(d, rng, 1+rng.Int63n(3))
+		c, err := d.Compile()
+		if err != nil {
+			t.Fatalf("iter %d: generator produced invalid model: %v", i, err)
+		}
+		for _, heuristic := range []bool{true, false} {
+			opts := repair.DefaultOptions()
+			opts.ReachabilityHeuristic = heuristic
+			opts.Costs = cm
+			blind, blindErr := repair.Lazy(ctx, c, opts)
+			opts.MinimizeCost = true
+			res, err := repair.Lazy(ctx, c, opts)
+			if (err == nil) != (blindErr == nil) {
+				t.Fatalf("iter %d heuristic=%v: verdicts differ: cost-blind %v, cost-aware %v", i, heuristic, blindErr, err)
+			}
+			if err != nil {
+				refused++
+				continue
+			}
+			repaired++
+			if rep := verify.Result(c, res); !rep.OK() {
+				t.Fatalf("iter %d heuristic=%v: cost-aware repair verified false on model %+v:\n%s", i, heuristic, d, rep)
+			}
+			if res.AchievedCost > blind.AchievedCost {
+				t.Fatalf("iter %d heuristic=%v: cost-aware repair keeps cost %g, cost-blind %g",
+					i, heuristic, res.AchievedCost, blind.AchievedCost)
+			}
+			ref, err := lazyExact(ctx, c, opts)
+			if err != nil {
+				t.Fatalf("iter %d heuristic=%v: all-exact thinning failed: %v", i, heuristic, err)
+			}
+			sameResult(t, fmt.Sprintf("iter %d heuristic=%v", i, heuristic), res, ref)
+		}
+	}
+	t.Logf("lazy costed: %d repaired, %d refused", repaired, refused)
+	if repaired == 0 {
+		t.Fatal("generator produced no repairable models — property vacuous")
+	}
+}
+
 // TestFuzzCautiousSoundness: the cautious baseline obeys the same contract.
 func TestFuzzCautiousSoundness(t *testing.T) {
 	iterations := 100

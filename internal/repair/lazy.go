@@ -198,7 +198,7 @@ func LazyEngine(ctx context.Context, eng *program.Engine, opts Options) (*Result
 			// AchievedCost. See cost.go.
 			if opts.MinimizeCost && weight != nil {
 				opts.phase("thin")
-				span, terr := thinRecovery(ctx, eng, mask.Invariant, weight.Node(), parts, partSlots, &opts)
+				span, terr := thinRecovery(ctx, eng, mask.Invariant, certSpan, weight.Node(), parts, partSlots, &opts)
 				if terr != nil {
 					return nil, terr
 				}
