@@ -54,33 +54,15 @@ func WithAlgorithm(a Algorithm) Option {
 	return func(c *repairConfig) { c.alg = a }
 }
 
-// EngineMode names a parallelization mode of the symbolic engine.
-type EngineMode string
-
-// The engine modes.
-const (
-	// EnginePartitioned (the default) is the share-nothing engine: private
-	// BDD worker managers, canonical DAG transfer between them, merges on
-	// the owning manager.
-	EnginePartitioned = EngineMode(program.ModePartitioned)
-	// EngineShared is the shared-memory engine: all workers operate on one
-	// shared node table with per-worker operation caches; merge barriers
-	// double as stop-the-world GC/reordering points. Results are identical
-	// to every other mode and worker count.
-	EngineShared = EngineMode(program.ModeShared)
-)
-
 // EngineConfig consolidates every engine-tuning knob behind one struct: the
-// parallelization mode and worker count, the node-lifetime knobs (budget, GC
-// cadence, reordering cadence), and the verification backend. The zero value
-// of every field selects its default (partitioned mode, GOMAXPROCS workers,
-// unbounded nodes, default cadences, BDD backend), so callers set only what
-// they mean.
+// worker count, the node-lifetime knobs (budget, GC cadence, reordering
+// cadence), and the verification backend. The zero value of every field
+// selects its default (GOMAXPROCS workers, unbounded nodes, default
+// cadences, BDD backend), so callers set only what they mean.
 type EngineConfig struct {
-	// Mode selects the parallel engine: EnginePartitioned (default) or
-	// EngineShared.
-	Mode EngineMode
 	// Workers is the worker count; below 1 selects GOMAXPROCS, 1 is serial.
+	// Each worker is a private BDD manager; results are identical for any
+	// count.
 	Workers int
 	// NodeBudget, when positive, bounds the live BDD node count; a blown
 	// budget fails the run with *BudgetError instead of exhausting memory.
@@ -104,7 +86,6 @@ type EngineConfig struct {
 // were removed; each one maps to the EngineConfig field of the same name.
 func WithEngine(ec EngineConfig) Option {
 	return func(c *repairConfig) {
-		c.opts.Mode = string(ec.Mode)
 		c.opts.Workers = ec.Workers
 		c.opts.NodeBudget = ec.NodeBudget
 		c.opts.GCThreshold = ec.GCThreshold
@@ -142,7 +123,7 @@ type CostModel = repair.CostModel
 // read-restriction groups once converged. The result carries the exact
 // weighted counts in Result.AchievedCost (kept recovery transitions) and
 // Result.CostRemoved (original transitions deleted); both are identical
-// across worker counts and engine modes. Weights come from the model's .ftr
+// across worker counts. Weights come from the model's .ftr
 // `cost` annotations, overridden by cm (see CostModel).
 func WithCostModel(cm CostModel) Option {
 	return func(c *repairConfig) {

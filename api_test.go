@@ -91,6 +91,27 @@ func TestVerifyBudgetError(t *testing.T) {
 	}
 }
 
+// TestRepairRejectsSharedMode pins the shared engine's removal on the library
+// path: Options is repair.Options, so WithOptions can still carry Mode
+// "shared". Repair must return the engine-mode error, neither running the
+// partitioned engine in its place nor panicking.
+func TestRepairRejectsSharedMode(t *testing.T) {
+	def, err := CaseStudy("ba", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Mode = "shared"
+	opts.Workers = 2
+	c, res, err := Repair(context.Background(), def, WithOptions(opts))
+	if err == nil || !strings.Contains(err.Error(), `"shared"`) {
+		t.Fatalf("Repair with Mode \"shared\" returned err = %v, want the engine-mode error", err)
+	}
+	if c != nil || res != nil {
+		t.Fatal("Repair returned a result alongside the engine-mode error")
+	}
+}
+
 // TestRepairWithCostModel drives the cost-carrying API end to end: a costed
 // run must verify exactly like an uncosted one, report exact weighted counts,
 // and achieve no more cost than the cost-blind synthesis under the same

@@ -55,8 +55,7 @@ func main() {
 		witnesses = flag.Int("witnesses", 4, "max recovery demonstrations with -explain (one per fault action)")
 		jsonOut   = flag.Bool("json", false, "emit one machine-readable JSON report on stdout")
 		timeout   = flag.Duration("timeout", 0, "abort synthesis after this long (0 = no limit)")
-		engine    = flag.String("engine", "partitioned", "parallel engine mode: partitioned (private worker managers) or shared (one shared node table)")
-		workers   = flag.Int("workers", 0, "parallel-engine workers (0 = GOMAXPROCS, 1 = serial); private managers in partitioned mode, views of one table in shared mode")
+		workers   = flag.Int("workers", 0, "parallel-engine workers, each a private BDD manager (0 = GOMAXPROCS, 1 = serial)")
 		budget    = flag.Int64("node-budget", 0, "fail the run if live BDD nodes exceed this after a collection (0 = unbounded)")
 		reorder   = flag.Int64("reorder", 0, "run a BDD variable-reordering (sifting) pass after this many node allocations (0 = off)")
 		costModel = flag.String("cost-model", "", "price transitions and minimize repair cost: \"default=N,action=W,proc.action=W,...\" (weights override .ftr cost annotations)")
@@ -86,7 +85,6 @@ func main() {
 			NoVerify:    !*doVerify,
 			TimeoutMS:   timeout.Milliseconds(),
 			Engine: &service.EngineSpec{
-				Mode:       *engine,
 				Workers:    *workers,
 				NodeBudget: *budget,
 				Reorder:    *reorder,
@@ -124,14 +122,9 @@ func main() {
 		fatal(err)
 	}
 
-	mode, err := program.ParseMode(*engine)
-	if err != nil {
-		fatal(err)
-	}
 	opts := repair.DefaultOptions()
 	opts.ReachabilityHeuristic = !*pure
 	opts.DeferCycleBreaking = *deferCyc
-	opts.Mode = string(mode)
 	opts.Workers = *workers
 	opts.NodeBudget = *budget
 	opts.Reorder = *reorder
@@ -204,7 +197,6 @@ func main() {
 		fmt.Printf("  step 2:          %v\n", res.Stats.Step2)
 	}
 	fmt.Printf("outer iterations:  %d\n", res.Stats.OuterIterations)
-	fmt.Printf("engine mode:       %s\n", out.Mode)
 	fmt.Printf("engine workers:    %d\n", out.Workers)
 	fmt.Printf("invariant:         %.3g states\n", s.CountStates(res.Invariant))
 	fmt.Printf("fault-span:        %.3g states\n", s.CountStates(res.FaultSpan))

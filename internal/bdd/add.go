@@ -33,11 +33,10 @@ package bdd
 // function by taking the cheapest branch, the existential cost projection
 // used to price transition groups.
 //
-// Concurrency. Terminal interning mutates manager-level maps with no
-// synchronization, so ADD operations must not run inside shared-memory
-// parallel regions; AddConst panics on a worker view. The repair pipeline
-// computes all costs on the primary manager outside parallel regions, which
-// is also what keeps weighted runs byte-identical across engine modes.
+// Concurrency. Terminal interning mutates manager-level maps, so ADD
+// operations follow the Manager rule: one goroutine at a time. The repair
+// pipeline computes all costs on the owning manager, never on a worker
+// manager, which keeps weighted runs byte-identical across worker counts.
 
 import (
 	"fmt"
@@ -115,10 +114,6 @@ func (m *Manager) addConst(v int64) Node {
 	}
 	if t, ok := m.addTerm[v]; ok {
 		return t
-	}
-	if m.shared != nil {
-		panic("bdd: ADD operations are not available inside shared parallel regions " +
-			"(terminal interning is unsynchronized); compute costs on the primary manager")
 	}
 	var idx Node
 	if m.freeHead != 0 {

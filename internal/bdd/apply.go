@@ -62,24 +62,13 @@ func (m *Manager) andRec(f, g Node) Node {
 		top = ng.level
 	}
 	var r Node
-	if m.shouldFork(top) {
-		// Fork/join (Shared.Run regions only): the high branch becomes a
-		// stealable opTask, the low branch runs inline, and the join happens
-		// before the mk and the cache write below.
-		f0, f1 := m.cofactor(f, top)
-		g0, g1 := m.cofactor(g, top)
-		ot := m.forkSpawn(opAnd, f1, g1, False)
-		lo := m.andRec(f0, g0)
-		r = m.mk(top, lo, m.forkJoin(ot))
-	} else {
-		switch {
-		case nf.level == ng.level:
-			r = m.mk(top, m.andRec(nf.low, ng.low), m.andRec(nf.high, ng.high))
-		case nf.level < ng.level:
-			r = m.mk(top, m.andRec(nf.low, g), m.andRec(nf.high, g))
-		default:
-			r = m.mk(top, m.andRec(f, ng.low), m.andRec(f, ng.high))
-		}
+	switch {
+	case nf.level == ng.level:
+		r = m.mk(top, m.andRec(nf.low, ng.low), m.andRec(nf.high, ng.high))
+	case nf.level < ng.level:
+		r = m.mk(top, m.andRec(nf.low, g), m.andRec(nf.high, g))
+	default:
+		r = m.mk(top, m.andRec(f, ng.low), m.andRec(f, ng.high))
 	}
 	m.binStore(opAnd, f, g, r)
 	return r
@@ -114,21 +103,13 @@ func (m *Manager) orRec(f, g Node) Node {
 		top = ng.level
 	}
 	var r Node
-	if m.shouldFork(top) {
-		f0, f1 := m.cofactor(f, top)
-		g0, g1 := m.cofactor(g, top)
-		ot := m.forkSpawn(opOr, f1, g1, False)
-		lo := m.orRec(f0, g0)
-		r = m.mk(top, lo, m.forkJoin(ot))
-	} else {
-		switch {
-		case nf.level == ng.level:
-			r = m.mk(top, m.orRec(nf.low, ng.low), m.orRec(nf.high, ng.high))
-		case nf.level < ng.level:
-			r = m.mk(top, m.orRec(nf.low, g), m.orRec(nf.high, g))
-		default:
-			r = m.mk(top, m.orRec(f, ng.low), m.orRec(f, ng.high))
-		}
+	switch {
+	case nf.level == ng.level:
+		r = m.mk(top, m.orRec(nf.low, ng.low), m.orRec(nf.high, ng.high))
+	case nf.level < ng.level:
+		r = m.mk(top, m.orRec(nf.low, g), m.orRec(nf.high, g))
+	default:
+		r = m.mk(top, m.orRec(f, ng.low), m.orRec(f, ng.high))
 	}
 	m.binStore(opOr, f, g, r)
 	return r
@@ -198,21 +179,13 @@ func (m *Manager) diffRec(f, g Node) Node {
 		top = ng.level
 	}
 	var r Node
-	if m.shouldFork(top) {
-		f0, f1 := m.cofactor(f, top)
-		g0, g1 := m.cofactor(g, top)
-		ot := m.forkSpawn(opDiff, f1, g1, False)
-		lo := m.diffRec(f0, g0)
-		r = m.mk(top, lo, m.forkJoin(ot))
-	} else {
-		switch {
-		case nf.level == ng.level:
-			r = m.mk(top, m.diffRec(nf.low, ng.low), m.diffRec(nf.high, ng.high))
-		case nf.level < ng.level:
-			r = m.mk(top, m.diffRec(nf.low, g), m.diffRec(nf.high, g))
-		default:
-			r = m.mk(top, m.diffRec(f, ng.low), m.diffRec(f, ng.high))
-		}
+	switch {
+	case nf.level == ng.level:
+		r = m.mk(top, m.diffRec(nf.low, ng.low), m.diffRec(nf.high, ng.high))
+	case nf.level < ng.level:
+		r = m.mk(top, m.diffRec(nf.low, g), m.diffRec(nf.high, g))
+	default:
+		r = m.mk(top, m.diffRec(f, ng.low), m.diffRec(f, ng.high))
 	}
 	m.binStore(opDiff, f, g, r)
 	return r

@@ -112,13 +112,6 @@ type Manager struct {
 	addTerm map[int64]Node // value -> terminal slot
 	addVal  map[Node]int64 // terminal slot -> value
 
-	// Shared-memory parallel mode (see shared.go, sched.go).
-	shared      *Shared    // set on a view while a parallel region is active
-	sharedViews []*Manager // set on the primary for a Shared session's lifetime
-	chunk       []Node     // view-private allocation chunk during a region
-	team        *stealTeam // set on a view while a Shared.Run drives it (fork/join)
-	worker      int        // this view's worker index in team
-
 	// Statistics.
 	stats Stats
 
@@ -204,14 +197,10 @@ const (
 	// The op caches start at cacheMinSlots entries each and double whenever
 	// an allocation pushes the live node count past cacheLoad times the slot
 	// count, up to cacheMaxSlots — BuDDy's cache ratio and CUDD's cache
-	// growth. The rule keys on live nodes, not on the unique table, which
-	// Shared.Begin over-sizes for concurrent insertion.
+	// growth.
 	cacheMinSlots = 1 << 14
 	cacheMaxSlots = 1 << 20
 	cacheLoad     = 8
-	// viewCacheSlots sizes a shared-mode view's caches. A view owns no node
-	// table to key a growth rule on, so its caches stay at this size.
-	viewCacheSlots = 1 << 16
 
 	initialNodeCap = 1 << 20
 )
@@ -367,12 +356,6 @@ func (m *Manager) High(f Node) Node { return m.nodes[f].high }
 func (m *Manager) mk(level int32, low, high Node) Node {
 	if low == high {
 		return low
-	}
-	if m.shared != nil {
-		// Inside a parallel region the receiver is a worker view: node
-		// creation goes through the lock-free shared path, and maintenance
-		// triggers (GC, reorder, budget) are deferred to the barrier.
-		return m.mkShared(level, low, high)
 	}
 	h := hash3(uint64(level), uint64(low), uint64(high)) & m.uniqueMask
 	for {

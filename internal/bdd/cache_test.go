@@ -1,7 +1,6 @@
 package bdd
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -43,8 +42,7 @@ func cacheSlots(t *testing.T, m *Manager) int {
 
 // TestOpCacheGrowth pins the sizing rule: a manager's op caches start at
 // cacheMinSlots, double only once an allocation pushes the live count past
-// cacheLoad times the slot count, and stop at cacheMaxSlots; the caches of a
-// shared-mode view stay at viewCacheSlots.
+// cacheLoad times the slot count, and stop at cacheMaxSlots.
 func TestOpCacheGrowth(t *testing.T) {
 	m := New()
 	m.NewVars(8)
@@ -74,25 +72,6 @@ func TestOpCacheGrowth(t *testing.T) {
 	}
 	if got := cacheSlots(t, m); got != cacheMaxSlots {
 		t.Fatalf("caches stopped at %d slots, want %d", got, cacheMaxSlots)
-	}
-
-	s := NewShared(m, 2)
-	defer s.Close()
-	vars := []Node{m.Ref(m.Var(0)), m.Ref(m.Var(1)), m.Ref(m.Var(2))}
-	s.Begin()
-	err := s.Run(context.Background(), 2, func(w, task int) error {
-		v := s.View(w)
-		v.Or(v.And(vars[0], vars[1]), v.Diff(vars[2], vars[task]))
-		return nil
-	})
-	s.End()
-	if err != nil {
-		t.Fatalf("Shared.Run: %v", err)
-	}
-	for w := 0; w < s.Workers(); w++ {
-		if got := cacheSlots(t, s.View(w)); got != viewCacheSlots {
-			t.Fatalf("view %d: %d slots, want %d", w, got, viewCacheSlots)
-		}
 	}
 }
 
@@ -171,8 +150,7 @@ func checkNodeCount(m *Manager, f Node) error {
 }
 
 // TestNodeCountMatchesMapWalk checks NodeCount against the map-based
-// reference on random functions, on the primary and on shared views inside
-// a region (where the table is the region's and the bitset the view's).
+// reference on random functions.
 func TestNodeCountMatchesMapWalk(t *testing.T) {
 	const nvars = 10
 	rng := rand.New(rand.NewSource(5))
@@ -192,27 +170,5 @@ func TestNodeCountMatchesMapWalk(t *testing.T) {
 		if err := checkNodeCount(m, f); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	s := NewShared(m, 2)
-	defer s.Close()
-	s.Begin()
-	err := s.Run(context.Background(), 8, func(w, task int) error {
-		v := s.View(w)
-		for k := task; k < len(pool); k += 8 {
-			if err := checkNodeCount(v, pool[k]); err != nil {
-				return err
-			}
-			// A region-fresh node: its DAG mixes new and old slots.
-			g := v.Xor(pool[k], pool[(k*7+3)%len(pool)])
-			if err := checkNodeCount(v, g); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	s.End()
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -294,20 +294,6 @@ func (m *Manager) collect() {
 	for _, n := range m.tmpRoots {
 		push(n)
 	}
-	// Worker views of a shared session root nodes in the primary's table;
-	// their root sets join the mark phase so view-held results survive
-	// barrier maintenance.
-	for _, v := range m.sharedViews {
-		for n := range v.refs {
-			push(n)
-		}
-		for _, n := range v.recent {
-			push(n)
-		}
-		for _, n := range v.tmpRoots {
-			push(n)
-		}
-	}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

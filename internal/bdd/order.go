@@ -427,19 +427,6 @@ func (m *Manager) buildReorderLists() {
 	for _, n := range m.tmpRoots {
 		setExt(n)
 	}
-	// Nodes rooted by the worker views of a shared session are external too:
-	// sifting at a barrier must preserve results held by idle views.
-	for _, v := range m.sharedViews {
-		for n := range v.refs {
-			setExt(n)
-		}
-		for _, n := range v.recent {
-			setExt(n)
-		}
-		for _, n := range v.tmpRoots {
-			setExt(n)
-		}
-	}
 	m.deadCnt = 0
 }
 

@@ -168,31 +168,12 @@ func (m *Manager) andExistsRec(f, g, cube Node) Node {
 	var r Node
 	if c != True && m.nodes[c].level == top {
 		rest := m.nodes[c].high
-		if m.shouldFork(top) {
-			// Fork/join (Shared.Run regions only): ship the high branch,
-			// compute the low inline, join before the combine and the cache
-			// write. The forked path gives up the lo == True short-circuit —
-			// the high branch is already in flight.
-			ot := m.forkSpawn(opAndExists, f1, g1, rest)
-			lo := m.andExistsRec(f0, g0, rest)
-			hi := m.forkJoin(ot)
-			if lo == True || hi == True {
-				r = True
-			} else {
-				r = m.orRec(lo, hi)
-			}
+		lo := m.andExistsRec(f0, g0, rest)
+		if lo == True {
+			r = True
 		} else {
-			lo := m.andExistsRec(f0, g0, rest)
-			if lo == True {
-				r = True
-			} else {
-				r = m.orRec(lo, m.andExistsRec(f1, g1, rest))
-			}
+			r = m.orRec(lo, m.andExistsRec(f1, g1, rest))
 		}
-	} else if m.shouldFork(top) {
-		ot := m.forkSpawn(opAndExists, f1, g1, c)
-		lo := m.andExistsRec(f0, g0, c)
-		r = m.mk(top, lo, m.forkJoin(ot))
 	} else {
 		r = m.mk(top, m.andExistsRec(f0, g0, c), m.andExistsRec(f1, g1, c))
 	}

@@ -190,3 +190,31 @@ func TestPoolMapOrderAndError(t *testing.T) {
 		t.Fatalf("Map ignored a cancelled context: %v", err)
 	}
 }
+
+// TestPoolMapBudgetError checks that a task blowing its worker manager's node
+// budget comes back from Map as a *BudgetError: the panic raised at the
+// worker's safe point must be recovered on the pool goroutine, where it would
+// otherwise kill the process.
+func TestPoolMapBudgetError(t *testing.T) {
+	workers := []*Manager{New(), New()}
+	for _, w := range workers {
+		w.SetGCThreshold(0)
+		w.NewVars(16)
+		w.SetNodeBudget(64)
+	}
+	pool := NewPool(workers)
+	_, err := pool.Map(context.Background(), 4, func(w *Manager, worker, task int) ([]byte, error) {
+		f := True
+		for i := 0; i < 16; i++ {
+			f = w.Ref(w.Xor(f, w.Var(i)))
+		}
+		return w.Export(f), nil
+	})
+	var be *BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("Map returned %v, want *BudgetError", err)
+	}
+	if be.Budget != 64 || be.Live <= 64 {
+		t.Fatalf("implausible BudgetError: %+v", be)
+	}
+}

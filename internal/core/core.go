@@ -82,7 +82,8 @@ type Outcome struct {
 	VerifyTime  time.Duration // zero unless Job.Verify
 	WitnessTime time.Duration // zero unless Job.Witnesses > 0
 	Workers     int           // effective engine worker count
-	Mode        string        // effective engine mode ("partitioned" or "shared")
+	// Mode is unset by Run; it remains for bench/trace.go.
+	Mode string
 
 	// Node-lifetime counters of the run's owning manager (plus the peak
 	// across worker managers), captured after the job finishes.
@@ -93,8 +94,8 @@ type Outcome struct {
 	ReorderRuns int64 // sifting passes run by the owning manager
 
 	// Fixpoint is the unified reachability scheduler's cumulative work
-	// counters (rounds, frontier images, frontier sizes, fork/join
-	// spawn/steal counts), captured after the job finishes.
+	// counters (rounds, frontier images, frontier sizes), captured after the
+	// job finishes.
 	Fixpoint program.FixpointStats
 }
 
@@ -140,7 +141,7 @@ func Run(ctx context.Context, job Job) (out *Outcome, err error) {
 			out, err = nil, fmt.Errorf("core: %w", be)
 		}
 	}()
-	out = &Outcome{Compiled: compiled, CompileTime: time.Since(t0), Workers: eng.Workers(), Mode: string(eng.Mode())}
+	out = &Outcome{Compiled: compiled, CompileTime: time.Since(t0), Workers: eng.Workers()}
 	defer func() {
 		if out != nil {
 			st := compiled.Space.M.Stats()

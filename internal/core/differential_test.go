@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"repro/internal/expr"
 	"repro/internal/program"
 	"repro/internal/repair"
+	"repro/internal/symbolic"
 	"repro/internal/verify"
 	"repro/internal/witness"
 )
@@ -17,7 +20,8 @@ import (
 // its original invariant (the safety checks fail — which exercises the SAT
 // counterexample path). Every witness either backend attaches must replay
 // through the certificate checker, so a disagreement cannot hide behind a
-// plausible-looking trace.
+// plausible-looking trace. The unrepaired swap-permutation model adds a deep
+// counterexample that both backends must find at its exact length.
 func TestBackendsAgree(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -35,6 +39,25 @@ func TestBackendsAgree(t *testing.T) {
 	// zero for free) and at least one original produced a counterexample.
 	var solverWork int64
 	counterexamples := 0
+	// verifyOriginal checks the unrepaired program under its own invariant.
+	// The fault span is the whole valid state space, so the reachability
+	// checks answer the interesting question — can faults drive the original
+	// program into the bad set? Where they can, the SAT backend must produce
+	// a counterexample trace that certifies (verifyBoth replays every
+	// attached witness).
+	verifyOriginal := func(t *testing.T, c *program.Compiled) [2]*verify.Report {
+		orig := &repair.Result{
+			Trans:     c.Trans,
+			Invariant: c.Invariant,
+			FaultSpan: c.Space.ValidCur(),
+		}
+		reports := verifyBoth(t, c, orig)
+		solverWork += reports[1].SAT.Conflicts + reports[1].SAT.Decisions + reports[1].SAT.Propagations
+		if safetyWitness(reports[1]) != nil {
+			counterexamples++
+		}
+		return reports
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			def, err := CaseStudy(tc.name, tc.n)
@@ -57,27 +80,32 @@ func TestBackendsAgree(t *testing.T) {
 			}
 			solverWork += repaired[1].SAT.Conflicts + repaired[1].SAT.Decisions + repaired[1].SAT.Propagations
 
-			// Unrepaired original under its own invariant: the fault span is
-			// the whole valid state space, so the reachability checks answer
-			// the interesting question — can faults drive the original program
-			// into the bad set? Where they can, the SAT backend must produce a
-			// counterexample trace that certifies (verifyBoth replays every
-			// attached witness). The stabilization models (sc, ring) declare
-			// no bad set, so their originals legitimately pass.
-			orig := &repair.Result{
-				Trans:     c.Trans,
-				Invariant: c.Invariant,
-				FaultSpan: c.Space.ValidCur(),
-			}
-			reports := verifyBoth(t, c, orig)
-			solverWork += reports[1].SAT.Conflicts + reports[1].SAT.Decisions + reports[1].SAT.Propagations
-			for _, ck := range reports[1].Checks {
-				if ck.Witness != nil && ck.Witness.Kind == witness.KindSafety {
-					counterexamples++
-				}
-			}
+			// The stabilization models (sc, ring) declare no bad set, so
+			// their originals legitimately pass.
+			verifyOriginal(t, c)
 		})
 	}
+	// swap(5) unrepaired: the reversed permutation is n(n-1)/2 = 10 adjacent
+	// transpositions from the identity, so BDD reachability needs 10
+	// frontier layers and the SAT backend 10 unrolled frames.
+	t.Run("swap5", func(t *testing.T) {
+		const n = 5
+		c, err := swapDef(n).Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rep := range verifyOriginal(t, c) {
+			backend := []string{"BDD", "SAT"}[i]
+			tr := safetyWitness(rep)
+			if tr == nil {
+				t.Fatalf("%s backend found no safety counterexample:\n%s", backend, rep)
+			}
+			// Steps holds the initial state, then one entry per transition.
+			if got := len(tr.Steps) - 1; got != n*(n-1)/2 {
+				t.Errorf("%s backend: safety counterexample takes %d steps, want %d", backend, got, n*(n-1)/2)
+			}
+		}
+	})
 	if solverWork == 0 {
 		t.Error("SAT backend recorded no solver work across the whole ladder")
 	}
@@ -154,4 +182,47 @@ func hasWitness(rep *verify.Report, name string) bool {
 		}
 	}
 	return false
+}
+
+// safetyWitness returns the first safety-violation trace attached to a
+// check of rep, or nil.
+func safetyWitness(rep *verify.Report) *witness.Trace {
+	for _, ck := range rep.Checks {
+		if ck.Witness != nil && ck.Witness.Kind == witness.KindSafety {
+			return ck.Witness
+		}
+	}
+	return nil
+}
+
+// swapDef builds the deep-counterexample model: n variables over domain n,
+// starting as the identity permutation, with one process that may swap any
+// adjacent pair (simultaneous copy of each into the other). The bad set is
+// the reversed permutation, whose shortest derivation is n(n-1)/2 adjacent
+// transpositions — every inversion must be introduced by its own swap — so
+// the counterexample depth grows quadratically while the state space stays
+// tiny.
+func swapDef(n int) *program.Def {
+	d := &program.Def{Name: fmt.Sprintf("swap-%d", n)}
+	v := func(i int) string { return fmt.Sprintf("v%d", i) }
+	var names []string
+	var identity, reversed []expr.Expr
+	for i := 0; i < n; i++ {
+		d.Vars = append(d.Vars, symbolic.VarSpec{Name: v(i), Domain: n})
+		names = append(names, v(i))
+		identity = append(identity, expr.Eq(v(i), i))
+		reversed = append(reversed, expr.Eq(v(i), n-1-i))
+	}
+	proc := &program.Process{Name: "swapper", Read: names, Write: names}
+	for i := 0; i+1 < n; i++ {
+		proc.Actions = append(proc.Actions, program.Action{
+			Name:    fmt.Sprintf("swap-%d", i),
+			Guard:   expr.True,
+			Updates: []program.Update{program.Copy(v(i), v(i+1)), program.Copy(v(i+1), v(i))},
+		})
+	}
+	d.Processes = []*program.Process{proc}
+	d.Invariant = expr.And(identity...)
+	d.BadStates = expr.And(reversed...)
+	return d
 }

@@ -31,40 +31,8 @@ func TestFixpointCounters(t *testing.T) {
 	if r.FixFrontierFinal <= 0 {
 		t.Errorf("FixFrontierFinal = %d, want > 0", r.FixFrontierFinal)
 	}
-	// Serial runs spawn no fork/join tasks.
-	if r.FixOpSpawns != 0 || r.FixOpSteals != 0 {
-		t.Errorf("serial run has op counters: spawns=%d steals=%d", r.FixOpSpawns, r.FixOpSteals)
-	}
 	n := r.Normalized()
-	if n.FixRounds != 0 || n.FixImages != 0 || n.FixFrontierPeak != 0 ||
-		n.FixFrontierFinal != 0 || n.FixOpSpawns != 0 || n.FixOpSteals != 0 {
+	if n.FixRounds != 0 || n.FixImages != 0 || n.FixFrontierPeak != 0 || n.FixFrontierFinal != 0 {
 		t.Errorf("Normalized kept scheduler counters: %+v", n)
-	}
-}
-
-// TestFixpointCountersShared asserts the fork/join counters move on a shared
-// multi-worker run: at least one reachability round must fan out and spawn
-// stealable apply branches.
-func TestFixpointCountersShared(t *testing.T) {
-	def, err := CaseStudy("sc", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := Job{Def: def, Algorithm: LazyRepair, Verify: false}
-	job.Options.Mode = "shared"
-	job.Options.Workers = 4
-	out, err := Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRunReport(job, out, "sc", 8)
-	if r.FixRounds <= 0 || r.FixImages <= 0 {
-		t.Errorf("rounds=%d images=%d, want > 0", r.FixRounds, r.FixImages)
-	}
-	if r.FixOpSpawns <= 0 {
-		t.Errorf("FixOpSpawns = %d, want > 0 (fork sites never fired)", r.FixOpSpawns)
-	}
-	if r.FixOpSteals < 0 || r.FixOpSteals > r.FixOpSpawns {
-		t.Errorf("implausible steal count %d for %d spawns", r.FixOpSteals, r.FixOpSpawns)
 	}
 }

@@ -9,8 +9,8 @@ import (
 // RunReport is the machine-readable summary of one repair run: the paper's
 // table columns (reachable states, Step 1 / Step 2 / total times, BDD nodes)
 // plus the verification verdict. It is the single JSON encoding shared by
-// `ftrepair -json`, the ftrepaird daemon's job results, and the benchjson
-// perf snapshots, so downstream tooling parses one shape everywhere.
+// `ftrepair -json` and the ftrepaird daemon's job results, so downstream
+// tooling parses one shape everywhere.
 type RunReport struct {
 	// Model is the program's declared name; Case/N identify a built-in
 	// case-study instance when the run came from one.
@@ -22,7 +22,6 @@ type RunReport struct {
 	Pure        bool   `json:"pure,omitempty"`         // reachability heuristic disabled
 	DeferCycles bool   `json:"defer_cycles,omitempty"` // cycle-breaking after Step 2
 	Workers     int    `json:"workers,omitempty"`      // effective engine worker count
-	EngineMode  string `json:"engine_mode,omitempty"`  // "partitioned" or "shared"
 	// Backend is the verification backend ("bdd" or "sat"); empty when
 	// verification was not requested. Kept by Normalized: the verdict is
 	// backend-independent, but which engine produced it is part of the
@@ -48,14 +47,12 @@ type RunReport struct {
 
 	// Fixpoint-scheduler work counters (internal/program's frontier-chained
 	// scheduler): rounds and frontier images across every reachability
-	// fixpoint of the run, the peak and final frontier sizes in BDD nodes,
-	// and the shared engine's fork/join spawn/steal counts.
+	// fixpoint of the run, and the peak and final frontier sizes in BDD
+	// nodes.
 	FixRounds        int64 `json:"fix_rounds,omitempty"`
 	FixImages        int64 `json:"fix_images,omitempty"`
 	FixFrontierPeak  int64 `json:"fix_frontier_peak,omitempty"`
 	FixFrontierFinal int64 `json:"fix_frontier_final,omitempty"`
-	FixOpSpawns      int64 `json:"fix_op_spawns,omitempty"`
-	FixOpSteals      int64 `json:"fix_op_steals,omitempty"`
 
 	CompileNS int64 `json:"compile_ns"`
 	Step1NS   int64 `json:"step1_ns"`
@@ -87,8 +84,7 @@ type RunReport struct {
 	// count of the kept transitions leaving the repaired invariant,
 	// CostRemoved the weighted count of original transitions the repair
 	// deleted. Kept by Normalized: both are functions of the synthesized
-	// program and the weight layer, identical across worker counts and
-	// engine modes.
+	// program and the weight layer, identical across worker counts.
 	Costed       bool    `json:"costed,omitempty"`
 	MinCost      bool    `json:"min_cost,omitempty"`
 	AchievedCost float64 `json:"achieved_cost,omitempty"`
@@ -112,7 +108,6 @@ func NewRunReport(job Job, out *Outcome, caseName string, n int) RunReport {
 		Pure:        !job.Options.ReachabilityHeuristic,
 		DeferCycles: job.Options.DeferCycleBreaking,
 		Workers:     out.Workers,
-		EngineMode:  out.Mode,
 
 		StateBits:       s.TotalBits(),
 		States:          s.CountStates(s.ValidCur()),
@@ -132,8 +127,6 @@ func NewRunReport(job Job, out *Outcome, caseName string, n int) RunReport {
 		FixImages:        out.Fixpoint.Images,
 		FixFrontierPeak:  out.Fixpoint.PeakFrontier,
 		FixFrontierFinal: out.Fixpoint.FinalFrontier,
-		FixOpSpawns:      out.Fixpoint.OpSpawns,
-		FixOpSteals:      out.Fixpoint.OpSteals,
 
 		CompileNS: out.CompileTime.Nanoseconds(),
 		Step1NS:   res.Stats.Step1.Nanoseconds(),
@@ -173,17 +166,15 @@ func NewRunReport(job Job, out *Outcome, caseName string, n int) RunReport {
 // parallel engine is tested against.
 func (r RunReport) Normalized() RunReport {
 	r.Workers = 0
-	r.EngineMode = "" // like Workers: how the result was computed, not what it is
 	r.BDDNodes = 0
 	// Node-lifetime counters vary with worker count, GC cadence, and
 	// reordering cadence exactly like BDDNodes does.
 	r.BDDNodesLive, r.BDDPeakNodes, r.BDDGCRuns, r.BDDNodesFreed = 0, 0, 0, 0
 	r.BDDReorderRuns = 0
 	// Scheduler work counters: rounds, images, and frontier sizes depend on
-	// the worker count (blocks per round) and spawn/steal counts on the
-	// steal schedule — how the fixpoint was computed, not what it is.
+	// the worker count (blocks per round) — how the fixpoint was computed,
+	// not what it is.
 	r.FixRounds, r.FixImages, r.FixFrontierPeak, r.FixFrontierFinal = 0, 0, 0, 0
-	r.FixOpSpawns, r.FixOpSteals = 0, 0
 	r.CompileNS, r.Step1NS, r.Step2NS, r.TotalNS, r.VerifyNS = 0, 0, 0, 0, 0
 	r.WitnessNS = 0
 	// Solver work counters are performance telemetry, like the BDD node

@@ -2,37 +2,26 @@ package program
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 
 	"repro/internal/bdd"
 )
 
-// Mode selects how the engine parallelizes symbolic work across workers.
+// Mode names the engine; it remains for bench/trace.go.
 type Mode string
 
-const (
-	// ModePartitioned is the share-nothing engine: private worker managers,
-	// DAG migration by canonical Export/Import, merges on the owner. It is
-	// the default and the reference for the determinism gates.
-	ModePartitioned Mode = "partitioned"
-	// ModeShared is the shared-memory engine: all workers operate on one
-	// node table (bdd.Shared) with per-worker operation caches and a
-	// work-stealing scheduler; no transfer, no re-canonicalization — merge
-	// barriers double as stop-the-world GC/reorder points.
-	ModeShared Mode = "shared"
-)
+// ModePartitioned is Mode's only value; it remains for bench/trace.go.
+const ModePartitioned Mode = "partitioned"
 
-// ParseMode validates a mode string; the empty string selects the default.
+// ParseMode accepts "" and "partitioned" and rejects every other mode, so a
+// caller still setting repair.Options.Mode to the removed "shared" engine
+// gets an error instead of a silent fallback.
 func ParseMode(s string) (Mode, error) {
-	switch Mode(s) {
-	case "", ModePartitioned:
-		return ModePartitioned, nil
-	case ModeShared:
-		return ModeShared, nil
+	if s != "" && Mode(s) != ModePartitioned {
+		return "", fmt.Errorf("program: engine mode %q is not available: the shared engine was removed and %q is the only one", s, ModePartitioned)
 	}
-	return "", fmt.Errorf("program: unknown engine mode %q (want %q or %q)", s, ModePartitioned, ModeShared)
+	return ModePartitioned, nil
 }
 
 // Engine couples a compiled program (the owner) with a pool of private worker
@@ -51,14 +40,8 @@ type Engine struct {
 	// C is the owning compiled program; all results live in its manager.
 	C *Compiled
 
-	mode    Mode
 	workers []*Compiled // one private clone per pool worker; nil when serial
 	pool    *bdd.Pool
-
-	// Shared-memory mode: one session over the owner's manager, with one
-	// compiled view per worker (same node table, private caches).
-	shared *bdd.Shared
-	views  []*Compiled
 
 	// fix accumulates the unified fixpoint scheduler's work counters
 	// (fixpoint.go) across the engine's lifetime.
@@ -82,7 +65,7 @@ func ResolveWorkers(n int) int {
 // below 1 select GOMAXPROCS). One worker means the serial engine: every
 // operation runs directly on the owner with no transfer overhead.
 func NewEngine(c *Compiled, workers int) (*Engine, error) {
-	e := &Engine{C: c, mode: ModePartitioned}
+	e := &Engine{C: c}
 	workers = ResolveWorkers(workers)
 	if workers <= 1 {
 		return e, nil
@@ -100,46 +83,24 @@ func NewEngine(c *Compiled, workers int) (*Engine, error) {
 	return e, nil
 }
 
-// NewEngineMode builds an engine over c in the given parallelization mode
-// (the zero Mode selects partitioned). In shared mode with more than one
-// worker, all workers share the owner's node table through a bdd.Shared
-// session; one worker degenerates to the serial engine in either mode.
+// NewEngineMode is ParseMode followed by NewEngine. core.Run and the repro
+// API build their engines through it, so repair.Options.Mode is validated;
+// bench/trace.go calls it by this name.
 func NewEngineMode(c *Compiled, mode Mode, workers int) (*Engine, error) {
-	mode, err := ParseMode(string(mode))
-	if err != nil {
+	if _, err := ParseMode(string(mode)); err != nil {
 		return nil, err
 	}
-	if mode != ModeShared {
-		return NewEngine(c, workers)
-	}
-	e := &Engine{C: c, mode: ModeShared}
-	workers = ResolveWorkers(workers)
-	if workers <= 1 {
-		return e, nil
-	}
-	e.shared = bdd.NewShared(c.Space.M, workers)
-	for i := 0; i < workers; i++ {
-		e.views = append(e.views, c.View(e.shared.View(i)))
-	}
-	return e, nil
+	return NewEngine(c, workers)
 }
 
 // SerialEngine wraps c as a one-worker engine (no clones, no transfer).
-func SerialEngine(c *Compiled) *Engine { return &Engine{C: c, mode: ModePartitioned} }
+func SerialEngine(c *Compiled) *Engine { return &Engine{C: c} }
 
-// Mode returns the engine's parallelization mode.
-func (e *Engine) Mode() Mode {
-	if e.mode == "" {
-		return ModePartitioned
-	}
-	return e.mode
-}
+// Mode returns ModePartitioned; it remains for bench/trace.go.
+func (e *Engine) Mode() Mode { return ModePartitioned }
 
 // Workers returns the engine's worker count (1 for the serial engine).
 func (e *Engine) Workers() int {
-	if e.shared != nil {
-		return e.shared.Workers()
-	}
 	if e.pool == nil {
 		return 1
 	}
@@ -211,12 +172,6 @@ func (e *Engine) PeakLive() int64 {
 // handed — the owner on the serial path, a worker clone otherwise.
 func (e *Engine) MapNodes(ctx context.Context, shared bdd.Node, inputs []bdd.Node,
 	fn func(c *Compiled, shared, input bdd.Node, task int) bdd.Node) ([]bdd.Node, error) {
-	if e.shared != nil {
-		return e.mapNodesShared(ctx, shared, inputs,
-			func(c *Compiled, sh, in bdd.Node, task int) (bdd.Node, error) {
-				return fn(c, sh, in, task), nil
-			})
-	}
 	if e.pool == nil {
 		// shared, the remaining inputs, and the already-produced results all
 		// outlive the arbitrarily large fn calls in between — root them.
@@ -275,67 +230,6 @@ func (e *Engine) MapNodes(ctx context.Context, shared bdd.Node, inputs []bdd.Nod
 	out := make([]bdd.Node, len(bufs))
 	for i, b := range bufs {
 		out[i] = sc.Keep(bdd.Import(m, b))
-	}
-	return out, nil
-}
-
-// mapNodesShared is MapNodes on the shared-memory engine: tasks run on
-// worker views inside one parallel region (bdd.Shared.Run over the shared
-// table, with op-internal fork/join underneath — surplus workers steal
-// spawned apply branches, so even one giant task keeps every worker busy),
-// results are Ref-rooted in the computing view, and after the End barrier —
-// where any deferred GC, sifting, or budget enforcement runs stop-the-world —
-// the owner adopts them directly: no transfer, no re-canonicalization, the
-// result nodes ARE owner nodes. A region that exhausts its pre-sized table
-// aborts (the partial results are un-rooted and die at a barrier), grows the
-// session, and reruns; tasks are pure functions of their rooted inputs, so a
-// rerun is sound.
-func (e *Engine) mapNodesShared(ctx context.Context, shared bdd.Node, inputs []bdd.Node,
-	fn func(c *Compiled, shared, input bdd.Node, task int) (bdd.Node, error)) ([]bdd.Node, error) {
-	m := e.C.Space.M
-	sc := m.Protect()
-	defer sc.Release()
-	sc.Keep(shared)
-	for _, in := range inputs {
-		sc.Keep(in)
-	}
-	out := make([]bdd.Node, len(inputs))
-	owner := make([]int, len(inputs))
-	dropPartials := func() {
-		for task, w := range owner {
-			if w > 0 {
-				e.views[w-1].Space.M.Deref(out[task])
-			}
-			owner[task] = 0
-		}
-	}
-	for {
-		e.shared.Begin()
-		err := e.shared.Run(ctx, len(inputs), func(w, task int) error {
-			cv := e.views[w]
-			r, ferr := fn(cv, shared, inputs[task], task)
-			if ferr != nil {
-				return ferr
-			}
-			out[task] = cv.Space.M.Ref(r)
-			owner[task] = w + 1 // 0 = not run; results of aborted rounds need un-rooting
-			return nil
-		})
-		e.shared.End() // barrier: stop-the-world GC/reorder; *BudgetError panics here
-		if err == nil {
-			break
-		}
-		dropPartials()
-		if errors.Is(err, bdd.ErrSharedTableFull) {
-			e.shared.Bump()
-			m.GC() // sweep the aborted round's garbage before re-sizing the region
-			continue
-		}
-		return nil, err
-	}
-	for task, w := range owner {
-		sc.Keep(out[task])
-		e.views[w-1].Space.M.Deref(out[task])
 	}
 	return out, nil
 }

@@ -1,12 +1,8 @@
 package program
 
-// This file is the single reachability-fixpoint implementation shared by all
-// three engine configurations (serial, partitioned, shared-table) — the
-// frontier-chained scheduler (see DESIGN.md §19). The previous generation of
-// the engine had three divergent loops (a serial chain delegated to
-// internal/symbolic, and one round-based loop per parallel mode that imaged
-// the whole reached set every round — catastrophically slow on deep-diameter
-// models like sc(12)); they are all replaced by Engine.fixpoint below.
+// This file is the single reachability-fixpoint implementation shared by the
+// serial and the partitioned engine — the frontier-chained scheduler (see
+// DESIGN.md §19).
 //
 // Algorithm. Every partition i carries a snapshot seen[i] ⊆ reached of the
 // states its image has already been applied to. Its frontier is
@@ -43,8 +39,8 @@ import (
 // FixpointStats counts the work of the unified reachability scheduler across
 // an engine's lifetime. The counters are observability (RunReport fix_*
 // fields, /metrics.json); they are normalized away from reports like the
-// other engine counters. Rounds/Images/frontier sizes are deterministic for
-// a fixed worker count; OpSpawns/OpSteals depend on the steal schedule.
+// other engine counters. All of them are deterministic for a fixed worker
+// count.
 type FixpointStats struct {
 	// Rounds is the number of scheduler rounds: 1 per serial fixpoint,
 	// one per cross-worker barrier in parallel mode.
@@ -57,22 +53,14 @@ type FixpointStats struct {
 	// convergence.
 	PeakFrontier  int64
 	FinalFrontier int64
-	// OpSpawns/OpSteals are the shared engine's fork/join apply counters:
-	// high branches spawned as stealable opTasks, and how many were executed
-	// by a worker other than the spawner (bdd.Shared.OpStats).
+	// OpSpawns is always 0; it remains for bench/trace.go.
 	OpSpawns int64
+	// OpSteals is always 0; it remains for bench/trace.go.
 	OpSteals int64
 }
 
-// FixpointStats returns the scheduler's cumulative work counters, including
-// the shared session's fork/join counters when running in shared mode.
-func (e *Engine) FixpointStats() FixpointStats {
-	fs := e.fix
-	if e.shared != nil {
-		fs.OpSpawns, fs.OpSteals = e.shared.OpStats()
-	}
-	return fs
-}
+// FixpointStats returns the scheduler's cumulative work counters.
+func (e *Engine) FixpointStats() FixpointStats { return e.fix }
 
 // chainStats accumulates one block's scheduler work; merged into Engine.fix
 // in deterministic block order.
@@ -251,8 +239,8 @@ func (e *Engine) fixpoint(ctx context.Context, init bdd.Node, parts []bdd.Node, 
 		// Block count: one per worker, but never wider than the machine —
 		// splitting past the physical core count duplicates frontier growth
 		// with nothing to run it on. Floor 2 keeps the parallel machinery
-		// (regions, transfer, fork/join) exercised whenever workers > 1; the
-		// result is the same least fixpoint at any width.
+		// (transfer, merges) exercised whenever workers > 1; the result is
+		// the same least fixpoint at any width.
 		nb := e.Workers()
 		if g := runtime.GOMAXPROCS(0); g < nb {
 			nb = g
@@ -271,13 +259,7 @@ func (e *Engine) fixpoint(ctx context.Context, init bdd.Node, parts []bdd.Node, 
 			blocks[b] = [2]int{b * len(pidx) / nb, (b + 1) * len(pidx) / nb}
 		}
 		stats := make([]chainStats, nb)
-		var deltas []bdd.Node
-		var err error
-		if e.shared != nil {
-			deltas, err = e.runBlocksShared(ctx, reached.Node(), parts, pidx, pfronts, blocks, backward, stats)
-		} else {
-			deltas, err = e.runBlocksPool(ctx, reached.Node(), parts, pidx, pfronts, blocks, backward, stats, pc)
-		}
+		deltas, err := e.runBlocksPool(ctx, reached.Node(), parts, pidx, pfronts, blocks, backward, stats, pc)
 		if err != nil {
 			rsc.Release()
 			return bdd.False, err
@@ -315,33 +297,6 @@ func (e *Engine) foldChainStats(st chainStats) {
 	}
 }
 
-// runBlocksShared runs one scheduler round's blocks across the shared
-// session's views: block b chains its partitions from local = reached inside
-// the parallel region (fork/join apply enabled underneath) and returns its
-// delta, an owner node adopted at the End barrier.
-func (e *Engine) runBlocksShared(ctx context.Context, reached bdd.Node, parts []bdd.Node,
-	pidx []int, pfronts []bdd.Node, blocks [][2]int, backward bool, stats []chainStats) ([]bdd.Node, error) {
-	placeholders := make([]bdd.Node, len(blocks))
-	return e.mapNodesShared(ctx, reached, placeholders, func(cv *Compiled, sh, _ bdd.Node, b int) (bdd.Node, error) {
-		stats[b] = chainStats{} // aborted attempts re-enter; count the run that lands
-		vm := cv.Space.M
-		vsc := vm.Protect()
-		defer vsc.Release()
-		local := vsc.Slot(sh)
-		lo, hi := blocks[b][0], blocks[b][1]
-		bparts := make([]bdd.Node, hi-lo)
-		bfronts := make([]bdd.Node, hi-lo)
-		for k := lo; k < hi; k++ {
-			bparts[k-lo] = parts[pidx[k]]
-			bfronts[k-lo] = pfronts[k]
-		}
-		if err := chainBlock(ctx, cv.Space, local, bparts, bfronts, backward, &stats[b]); err != nil {
-			return bdd.False, err
-		}
-		return vm.Diff(local.Node(), sh), nil
-	})
-}
-
 // poolFixCache holds the partitioned engine's per-fixpoint transfer caches:
 // partition predicates are static, so each worker imports a partition at
 // most once per fixpoint (rooted in its manager until release).
@@ -368,10 +323,11 @@ func (pc *poolFixCache) release(e *Engine) {
 	}
 }
 
-// runBlocksPool is runBlocksShared for the share-nothing engine: the reached
-// set and the block frontiers are exported per round, partitions at most
-// once per fixpoint (pc), each worker chains its blocks privately, and the
-// owner imports the canonical delta buffers in block order.
+// runBlocksPool runs one scheduler round's blocks across the pool: the
+// reached set and the block frontiers are exported per round, partitions at
+// most once per fixpoint (pc), each worker chains its blocks privately from
+// local = reached, and the owner imports the canonical delta buffers in
+// block order.
 func (e *Engine) runBlocksPool(ctx context.Context, reached bdd.Node, parts []bdd.Node,
 	pidx []int, pfronts []bdd.Node, blocks [][2]int, backward bool, stats []chainStats,
 	pc *poolFixCache) ([]bdd.Node, error) {

@@ -1,9 +1,9 @@
 package program
 
 // Property test for the unified fixpoint scheduler: on a corpus of random
-// small models, the frontier-chained scheduler — serial, partitioned, and
-// shared, with the fan-out threshold forced down so even tiny rounds take
-// the parallel paths — must reach exactly the fixpoint the full-set oracle
+// small models, the frontier-chained scheduler — serial and partitioned,
+// with the fan-out threshold forced down so even tiny rounds take the
+// parallel paths — must reach exactly the fixpoint the full-set oracle
 // (symbolic.ReachablePartsCtx / BackwardReachablePartsCtx) computes, forward
 // and backward. On failure the model shrinks greedily (dropping one action
 // at a time while the mismatch persists) before reporting.
@@ -110,7 +110,6 @@ func checkDef(t *testing.T, d *Def, seed int64) string {
 	}{
 		{"serial", func() (*Engine, error) { return SerialEngine(c), nil }},
 		{"partitioned2", func() (*Engine, error) { return NewEngine(c, 2) }},
-		{"shared2", func() (*Engine, error) { return NewEngineMode(c, ModeShared, 2) }},
 	}
 	for _, ec := range engines {
 		e, err := ec.build()

@@ -188,21 +188,6 @@ type CompiledCostRule struct {
 	Trans bdd.Node
 }
 
-// View rebinds the compiled program to a worker view of a shared-memory BDD
-// session (see symbolic.Space.View). All node fields are values in the
-// shared table and carry over verbatim; only the manager bindings change.
-func (c *Compiled) View(vm *bdd.Manager) *Compiled {
-	cv := *c
-	cv.Space = c.Space.View(vm)
-	cv.Procs = make([]*CompiledProc, len(c.Procs))
-	for i, p := range c.Procs {
-		pv := *p
-		pv.space = cv.Space
-		cv.Procs[i] = &pv
-	}
-	return &cv
-}
-
 // Compile validates the definition and lowers it to BDDs in a fresh space.
 // Because compilation is deterministic, two compiles of the same Def produce
 // spaces with identical variable orders — the property the parallel engine
@@ -518,9 +503,8 @@ func (c *Compiled) WithStutter(delta bdd.Node) bdd.Node {
 // unannotated) and returns the effective weight, or 0 to fall through to the
 // declared annotation; dflt below 1 means 1.
 //
-// The construction runs on the compiled program's own (primary) manager and
-// must not be called from inside a shared parallel region (see the bdd
-// package's ADD concurrency contract); the caller roots the result.
+// The construction runs on the compiled program's own manager; the caller
+// roots the result.
 func (c *Compiled) WeightADD(resolve func(proc, action string, declared int64) int64, dflt int64) bdd.Node {
 	m := c.Space.M
 	if dflt < 1 {

@@ -1,7 +1,9 @@
 package program
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bdd"
@@ -330,5 +332,33 @@ func TestProcPartsAndPartsWithFaults(t *testing.T) {
 	}
 	if withF[2] != c.FaultParts[0] {
 		t.Fatal("fault partition missing")
+	}
+}
+
+// TestParseMode pins the one engine mode: "" and "partitioned" select it,
+// and every other mode, the removed "shared" included, is an error that
+// names the mode, so a caller still setting repair.Options.Mode learns of the
+// removal instead of silently running partitioned.
+func TestParseMode(t *testing.T) {
+	for _, tc := range []struct {
+		in string
+		ok bool
+	}{
+		{"", true},
+		{"partitioned", true},
+		{"shared", false},
+		{"threads", false},
+		{"Partitioned", false},
+	} {
+		mode, err := ParseMode(tc.in)
+		if tc.ok {
+			if err != nil || mode != ModePartitioned {
+				t.Errorf("ParseMode(%q) = %q, %v; want %q", tc.in, mode, err, ModePartitioned)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.in)) {
+			t.Errorf("ParseMode(%q) error = %v; want an error naming %q", tc.in, err, tc.in)
+		}
 	}
 }

@@ -19,9 +19,9 @@ package repair
 //
 // Both refinements only ever shrink the converged relation toward cheaper
 // recovery, so the repair verdict — and every verifier check — is unchanged;
-// only AchievedCost drops. All ADD work runs on the engine's primary
-// manager between parallel regions, which is what makes weighted runs
-// byte-identical across worker counts and engine modes.
+// only AchievedCost drops. All ADD work runs on the engine's owning manager,
+// never on a worker manager, which is what makes weighted runs
+// byte-identical across worker counts.
 
 import (
 	"context"

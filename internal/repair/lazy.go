@@ -49,8 +49,8 @@ func LazyEngine(ctx context.Context, eng *program.Engine, opts Options) (*Result
 	}
 	stats.ReachableStates = s.CountStates(reach)
 
-	// The weight ADD of a costed run, built once on the primary manager
-	// (outside any parallel region — see cost.go). nil slot means uncosted.
+	// The weight ADD of a costed run, built once on the owning manager (see
+	// cost.go). nil slot means uncosted.
 	var weight *bdd.Rooted
 	if opts.Costs != nil {
 		weight = sc.Slot(buildWeight(c, opts.Costs))

@@ -96,16 +96,12 @@ type Options struct {
 	DeferCycleBreaking bool
 	// MaxOuterIterations bounds Algorithm 1's repeat loop.
 	MaxOuterIterations int
-	// Mode selects the parallel engine: "partitioned" (or empty, the
-	// default) fans work out across private worker managers with canonical
-	// DAG transfer; "shared" runs all workers against one shared node table
-	// with per-worker caches (program.ModeShared). Both modes synthesize
-	// the same program for any worker count.
+	// Mode must be "" or "partitioned" (program.ParseMode); it remains for
+	// bench/trace.go.
 	Mode string
 	// Workers is the number of BDD workers used to fan out the per-process
-	// symbolic work inside one synthesis (image unions, group closures) —
-	// private worker managers in partitioned mode, views of the shared
-	// table in shared mode. Values below 1 select GOMAXPROCS; 1 runs
+	// symbolic work inside one synthesis (image unions, group closures),
+	// each a private worker manager. Values below 1 select GOMAXPROCS; 1 runs
 	// everything on the owning manager with no parallel machinery. Any
 	// value yields the same synthesized program: intermediate sets are
 	// canonical BDDs and worker results are merged in deterministic task

@@ -101,10 +101,6 @@ type CostSpec struct {
 // mirror of the library's EngineConfig. Every field is part of the content
 // address.
 type EngineSpec struct {
-	// Mode selects the parallel engine: "partitioned" (the default) or
-	// "shared". Validated and hashed in canonical form, so "" and
-	// "partitioned" alias.
-	Mode string `json:"mode,omitempty"`
 	// Workers is the per-job parallel-engine width. 0 (the default) takes
 	// the daemon's Config.JobWorkers, which is itself serial by default —
 	// the daemon's own pool already parallelizes across jobs — while an
@@ -166,10 +162,6 @@ func (sp *Spec) resolve() (*program.Def, core.Job, string, error) {
 	if sp.Engine != nil {
 		eng = *sp.Engine
 	}
-	mode, err := program.ParseMode(eng.Mode)
-	if err != nil {
-		return nil, core.Job{}, "", fmt.Errorf("service: %w", err)
-	}
 	if eng.Workers < 0 || eng.Workers > MaxJobWorkers {
 		return nil, core.Job{}, "", fmt.Errorf("service: workers %d out of range [0,%d]", eng.Workers, MaxJobWorkers)
 	}
@@ -205,7 +197,6 @@ func (sp *Spec) resolve() (*program.Def, core.Job, string, error) {
 	opts := repair.DefaultOptions()
 	opts.ReachabilityHeuristic = !sp.Pure
 	opts.DeferCycleBreaking = sp.DeferCycles
-	opts.Mode = string(mode)
 	// Unlike the library default (0 → GOMAXPROCS), a daemon job defaults to
 	// a serial engine: the service's worker pool already runs jobs in
 	// parallel, so intra-job width is opt-in per job.

@@ -13,7 +13,7 @@ import (
 func TestSpecKeyGolden(t *testing.T) {
 	const body = `{"case":"ba","n":3,"engine":{"workers":2,"node_budget":1048576},` +
 		`"cost":{"default":2,"actions":{"copy":5},"minimize":true}}`
-	const want = "33d88a4092873943ac018b80b0b3968fb9a005b663ffce24ce03e2ad83e082e6"
+	const want = "b2d27b98d9485f123e629878ad0f078ef9d5d2aa06153aba5246cd17ec031bf4"
 
 	var sp Spec
 	dec := json.NewDecoder(strings.NewReader(body))

@@ -78,8 +78,6 @@ type metrics struct {
 	fixRounds       int64
 	fixImages       int64
 	fixFrontierPeak int64 // gauge: largest frontier BDD seen in any job
-	fixOpSpawns     int64
-	fixOpSteals     int64
 
 	// CDCL solver work across all jobs verified under the SAT backend.
 	satConflicts    int64
@@ -158,8 +156,6 @@ func (m *metrics) write(w io.Writer, s *Service) {
 	c("ftrepaird_fixpoint_rounds_total", "Reachability-scheduler rounds across finished jobs.", m.get(&m.fixRounds))
 	c("ftrepaird_fixpoint_images_total", "Frontier images computed across finished jobs.", m.get(&m.fixImages))
 	g("ftrepaird_fixpoint_frontier_peak_nodes", "Largest frontier BDD (nodes) observed in any job.", m.get(&m.fixFrontierPeak))
-	c("ftrepaird_fixpoint_op_spawns_total", "Fork/join apply branches spawned across finished jobs.", m.get(&m.fixOpSpawns))
-	c("ftrepaird_fixpoint_op_steals_total", "Fork/join apply branches stolen across finished jobs.", m.get(&m.fixOpSteals))
 
 	c("ftrepaird_sat_conflicts_total", "CDCL conflicts across jobs verified under the SAT backend.", m.get(&m.satConflicts))
 	c("ftrepaird_sat_decisions_total", "CDCL decisions across jobs verified under the SAT backend.", m.get(&m.satDecisions))
@@ -214,8 +210,6 @@ type MetricsSnapshot struct {
 	FixRounds       int64 `json:"fix_rounds"`
 	FixImages       int64 `json:"fix_images"`
 	FixFrontierPeak int64 `json:"fix_frontier_peak"`
-	FixOpSpawns     int64 `json:"fix_op_spawns"`
-	FixOpSteals     int64 `json:"fix_op_steals"`
 
 	SATConflicts    int64 `json:"sat_conflicts"`
 	SATDecisions    int64 `json:"sat_decisions"`
@@ -273,8 +267,6 @@ func (s *Service) Metrics() MetricsSnapshot {
 		FixRounds:       m.get(&m.fixRounds),
 		FixImages:       m.get(&m.fixImages),
 		FixFrontierPeak: m.get(&m.fixFrontierPeak),
-		FixOpSpawns:     m.get(&m.fixOpSpawns),
-		FixOpSteals:     m.get(&m.fixOpSteals),
 
 		SATConflicts:    m.get(&m.satConflicts),
 		SATDecisions:    m.get(&m.satDecisions),

@@ -436,8 +436,6 @@ func (s *Service) run(j *job) {
 		s.metrics.add(&s.metrics.fixRounds, report.FixRounds)
 		s.metrics.add(&s.metrics.fixImages, report.FixImages)
 		s.metrics.maxOf(&s.metrics.fixFrontierPeak, report.FixFrontierPeak)
-		s.metrics.add(&s.metrics.fixOpSpawns, report.FixOpSpawns)
-		s.metrics.add(&s.metrics.fixOpSteals, report.FixOpSteals)
 		if st := report.SAT; st != nil {
 			s.metrics.add(&s.metrics.satConflicts, st.Conflicts)
 			s.metrics.add(&s.metrics.satDecisions, st.Decisions)

@@ -71,7 +71,6 @@ func TestSpecValidation(t *testing.T) {
 		{Case: "ba", N: 3, Algorithm: "??"}, // unknown algorithm
 		{Model: "var x : bool\n"},           // malformed model
 		{Case: "ba", N: 3, TimeoutMS: -1},   // negative deadline
-		{Case: "ba", N: 3, Engine: &EngineSpec{Mode: "threads"}},                     // unknown engine mode
 		{Case: "ba", N: 3, Engine: &EngineSpec{Workers: -1}},                         // negative engine width
 		{Case: "ba", N: 3, Engine: &EngineSpec{Workers: MaxJobWorkers + 1}},          // over the cap
 		{Case: "ba", N: 3, Engine: &EngineSpec{Backend: "z3"}},                       // unknown backend
@@ -88,8 +87,8 @@ func TestSpecValidation(t *testing.T) {
 }
 
 // TestEngineSpecCanonicalization pins how the engine object enters the
-// content address: the mode is part of it, and the default mode hashes
-// identically whether it is spelled "" or "partitioned".
+// content address: the default backend hashes identically whether it is
+// spelled "" or "bdd", and resolve wires the object into the job options.
 func TestEngineSpecCanonicalization(t *testing.T) {
 	key := func(sp Spec) string {
 		t.Helper()
@@ -101,27 +100,22 @@ func TestEngineSpecCanonicalization(t *testing.T) {
 	}
 
 	implicit := Spec{Case: "ba", N: 3, Engine: &EngineSpec{
-		Workers: 2, NodeBudget: 1 << 20, Reorder: 1 << 16, Backend: "sat",
+		Workers: 2, NodeBudget: 1 << 20, Reorder: 1 << 16,
 	}}
 	explicit := Spec{Case: "ba", N: 3, Engine: &EngineSpec{
-		Mode: "partitioned", Workers: 2, NodeBudget: 1 << 20, Reorder: 1 << 16, Backend: "sat",
+		Workers: 2, NodeBudget: 1 << 20, Reorder: 1 << 16, Backend: "bdd",
 	}}
 	if key(implicit) != key(explicit) {
-		t.Error(`default mode and explicit "partitioned" hash differently`)
+		t.Error(`default backend and explicit "bdd" hash differently`)
 	}
 
-	partitioned := Spec{Case: "ba", N: 3, Engine: &EngineSpec{Workers: 2}}
-	shared := Spec{Case: "ba", N: 3, Engine: &EngineSpec{Mode: "shared", Workers: 2}}
-	if key(partitioned) == key(shared) {
-		t.Error("engine mode not part of the content address")
-	}
-
-	_, job, _, err := shared.resolve()
+	_, job, _, err := explicit.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.Options.Workers != 2 || job.Options.Mode != "shared" {
-		t.Errorf("resolved workers=%d mode=%q, want the engine object's 2/shared", job.Options.Workers, job.Options.Mode)
+	if o := job.Options; o.Workers != 2 || o.NodeBudget != 1<<20 || o.Reorder != 1<<16 {
+		t.Errorf("resolved workers=%d node_budget=%d reorder=%d, want the engine object's values",
+			o.Workers, o.NodeBudget, o.Reorder)
 	}
 }
 
@@ -161,22 +155,25 @@ func TestCostSpecCanonicalization(t *testing.T) {
 }
 
 // TestHTTPLegacySpecFieldsRejected pins the structured-only spec contract:
-// each flat alias the engine and cost objects replaced is an unknown field,
-// answered with 400 bad_json whose message names it.
+// each flat alias the engine and cost objects replaced, and the engine
+// object's removed mode, is an unknown field, answered with 400 bad_json
+// whose message names it.
 func TestHTTPLegacySpecFieldsRejected(t *testing.T) {
 	base, _, shutdown := bootDaemon(t, Config{Workers: 1, QueueDepth: 4})
 	defer shutdown()
 
-	for _, tc := range []struct{ field, value string }{
-		{"workers", "2"},
-		{"node_budget", "1048576"},
-		{"reorder", "65536"},
-		{"backend", `"sat"`},
-		{"cost_default", "2"},
-		{"cost_actions", `{"copy":5}`},
-		{"minimize_cost", "true"},
+	for _, tc := range []struct{ field, member string }{
+		{"workers", `"workers":2`},
+		{"node_budget", `"node_budget":1048576`},
+		{"reorder", `"reorder":65536`},
+		{"backend", `"backend":"sat"`},
+		{"cost_default", `"cost_default":2`},
+		{"cost_actions", `"cost_actions":{"copy":5}`},
+		{"minimize_cost", `"minimize_cost":true`},
+		{"mode", `"engine":{"mode":"shared"}`},
+		{"mode", `"engine":{"mode":"partitioned"}`},
 	} {
-		body := `{"case":"ba","n":3,"` + tc.field + `":` + tc.value + `}`
+		body := `{"case":"ba","n":3,` + tc.member + `}`
 		resp, err := http.Post(base+"/v1/repair", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -215,30 +212,6 @@ func TestCostSpecRuns(t *testing.T) {
 	}
 	if final.Result.Verified == nil || !*final.Result.Verified {
 		t.Fatal("costed job was not verified")
-	}
-}
-
-// TestSharedEngineSpecRuns submits a shared-mode job end to end and checks
-// the report records the mode.
-func TestSharedEngineSpecRuns(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 4})
-	defer s.Close()
-	v, err := s.Submit(Spec{Case: "ba", N: 2, Witnesses: 2, Engine: &EngineSpec{Mode: "shared", Workers: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := s.Wait(context.Background(), v.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.State != StateDone || final.Result == nil {
-		t.Fatalf("job did not finish: state=%s err=%q", final.State, final.Error)
-	}
-	if final.Result.EngineMode != "shared" || final.Result.Workers != 2 {
-		t.Fatalf("report records engine_mode=%q workers=%d, want shared/2", final.Result.EngineMode, final.Result.Workers)
-	}
-	if final.Result.Verified == nil || !*final.Result.Verified {
-		t.Fatal("shared-mode job was not verified")
 	}
 }
 
@@ -621,7 +594,7 @@ func TestWorkersSpecRunsAndRecords(t *testing.T) {
 	defer s2.Close()
 	for _, spec := range []Spec{
 		{Case: "ba", N: 2},
-		{Case: "ba", N: 2, Engine: &EngineSpec{Mode: "shared"}},
+		{Case: "ba", N: 2, Engine: &EngineSpec{NodeBudget: 1 << 20}}, // engine object, workers left at 0
 	} {
 		if r := run(s2, spec); r.Workers != 2 {
 			t.Fatalf("JobWorkers default not applied to %+v: report records %d workers", spec, r.Workers)

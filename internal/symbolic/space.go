@@ -90,27 +90,6 @@ func New(specs []VarSpec) (*Space, error) {
 	return s, nil
 }
 
-// View rebinds the space to another manager over the SAME node table — a
-// worker view of a shared-memory session (bdd.NewShared). The cubes, valid
-// predicates, identity relation, and swap permutation are node values in the
-// shared table, so they carry over verbatim; they stay rooted through the
-// primary space's permanent refs, which the shared session's barrier
-// collector honors. The returned space must only be used while its view is
-// (the engine drives one view per worker inside parallel regions).
-func (s *Space) View(vm *bdd.Manager) *Space {
-	sv := *s
-	sv.M = vm
-	sv.Vars = make([]*Var, len(s.Vars))
-	sv.byName = make(map[string]*Var, len(s.Vars))
-	for i, v := range s.Vars {
-		vc := *v
-		vc.space = &sv
-		sv.Vars[i] = &vc
-		sv.byName[vc.Name] = &vc
-	}
-	return &sv
-}
-
 // MustNew is New but panics on error; convenient in tests and examples.
 func MustNew(specs []VarSpec) *Space {
 	s, err := New(specs)

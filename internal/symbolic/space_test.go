@@ -293,8 +293,7 @@ func TestReachablePartsSkipsEmptyPartitions(t *testing.T) {
 
 // TestValidTransComputedOnce checks that ValidTrans is one rooted node,
 // computed when the space is built: it equals ValidCur ∧ ValidNext, reading
-// it runs no BDD operation, it survives a collection, and a shared-session
-// view of the space returns the same node.
+// it runs no BDD operation, and it survives a collection.
 func TestValidTransComputedOnce(t *testing.T) {
 	s := twoCounterSpace(t)
 	m := s.M
@@ -316,9 +315,4 @@ func TestValidTransComputedOnce(t *testing.T) {
 	}
 	m.GC()
 	m.CheckNode(vt)
-	sh := bdd.NewShared(m, 1)
-	defer sh.Close()
-	if got := s.View(sh.View(0)).ValidTrans(); got != vt {
-		t.Fatalf("view ValidTrans = node %d, want %d", got, vt)
-	}
 }
