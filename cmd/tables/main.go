@@ -48,7 +48,7 @@ func main() {
 		table  = flag.String("table", "all", "which table to print: 1, 2, 3, 4, or all")
 		budget = flag.Duration("budget", 120*time.Second, "per-cell time budget; slower cells are skipped")
 		baStr  = flag.String("ba-sizes", "3,4,5,6,8,10", "BA instance sizes for Table I")
-		scStr  = flag.String("sc-sizes", "8,12,16,20,22", "chain sizes for Table II")
+		scStr  = flag.String("sc-sizes", "8,12,16,20,24,30", "chain sizes for Table II")
 		bfStr  = flag.String("bafs-sizes", "2,3,4,5", "BAFS sizes for Table III")
 		check  = flag.Bool("verify", true, "verify every synthesized program")
 	)
@@ -93,13 +93,16 @@ func sizes(s string) []int {
 	return out
 }
 
-// runOne compiles def in a fresh manager and repairs it with alg, verifying
-// the result. It returns the result and whether verification passed.
+// runOne compiles def in a fresh manager and repairs it with alg on the
+// serial engine, verifying the result. It returns the result and whether
+// verification passed. The paper's tool is sequential, so every cell runs
+// with one worker whatever the host's core count.
 func runOne(cfg config, def *program.Def, alg func(context.Context, *program.Compiled, repair.Options) (*repair.Result, error), opts repair.Options) (*repair.Result, bool, error) {
 	c, err := def.Compile()
 	if err != nil {
 		return nil, false, err
 	}
+	opts.Workers = 1
 	res, err := alg(context.Background(), c, opts)
 	if err != nil {
 		return nil, false, err

@@ -97,6 +97,13 @@ func image(sp *symbolic.Space, front, part bdd.Node, backward bool) bdd.Node {
 // initial frontiers (fronts[k] = local ∖ seen_global[parts[k]]), it chains
 // frontier images into local until no partition in the block can add states.
 // All nodes are relative to sp's manager; local is updated in place.
+//
+// Preimage sweeps fire the partitions in reverse order. Partitions come in
+// process order, and on a process chain a path moves with that order, so a
+// preimage sweep, which walks paths from their end, meets the processes in
+// reverse: in list order each backward sweep gains one more process of the
+// chain, in reverse order one sweep covers it. The least fixpoint does not
+// depend on the order, so the result is the same set either way.
 func chainBlock(ctx context.Context, sp *symbolic.Space, local *bdd.Rooted,
 	parts, fronts []bdd.Node, backward bool, st *chainStats) error {
 	m := sp.M
@@ -115,7 +122,12 @@ func chainBlock(ctx context.Context, sp *symbolic.Space, local *bdd.Rooted,
 	}
 	for {
 		progress := false
-		for k, p := range parts {
+		for i := range parts {
+			k := i
+			if backward {
+				k = len(parts) - 1 - i
+			}
+			p := parts[k]
 			if p == bdd.False {
 				continue
 			}
@@ -400,12 +412,109 @@ func (e *Engine) runBlocksPool(ctx context.Context, reached bdd.Node, parts []bd
 // infinite path inside region exists. It is the one GFP loop shared by the
 // repair algorithms' cycle analysis and the verifier's livelock check.
 //
+// Before peeling, it tries to prove the core empty compositionally (see
+// certifyAcyclic): when parts are per-process, write-legal relations of a
+// program whose write→read dependency graph is acyclic, and no process's
+// projection onto its readable variables has a cycle inside region, no
+// infinite path exists and the answer is False without a global fixpoint.
+// When the certificate does not apply, the peel decides.
+func CyclicCore(c *Compiled, parts []bdd.Node, region bdd.Node) bdd.Node {
+	if certifyAcyclic(c, parts, region) == certProved {
+		return bdd.False
+	}
+	return cyclicCorePeel(c, parts, region)
+}
+
+// certVerdict is the outcome of CyclicCore's acyclicity certificate: either
+// proved, or the first condition that failed.
+type certVerdict int
+
+const (
+	// certProved: no infinite path inside region; the core is empty.
+	certProved certVerdict = iota
+	// certCyclicGraph: the dependency graph has a cycle, or parts is not
+	// one relation per process.
+	certCyclicGraph
+	// certWriteIllegal: some parts[j] leaves process j's write set.
+	certWriteIllegal
+	// certCyclicProjection: some process's projected relation has a cycle.
+	certCyclicProjection
+)
+
+// certifyAcyclic tries to prove that the union of parts has no infinite path
+// inside region. It needs three conditions:
+//
+//   - the processes' write→read dependency graph is acyclic
+//     (Compiled.depAcyclic) and parts[j] belongs to process j;
+//   - every parts[j] ⊆ Procs[j].WriteOK;
+//   - for every process j, the projection ∃unread_j.(parts[j] ∧ region ∧
+//     region′) onto j's readable variables has an empty greatest fixpoint
+//     of states with a successor: no cycle.
+//
+// Soundness. Suppose an infinite path inside region exists. Attribute each
+// step to a part containing it, and let j be a process that moves infinitely
+// often and is minimal in the dependency order among such processes. After
+// a finite prefix, every process that writes a variable j reads has stopped
+// moving, except j itself: a write-legal step of process i changes only W_i,
+// and i → j is an edge whenever W_i meets R_j. So from then on j's readable
+// valuation changes only on j's own steps, and each j-step starts where the
+// previous one ended, projected. The projected j-steps form an infinite path
+// in a finite graph, which must contain a cycle — contradicting the third
+// condition.
+//
+// The structural condition costs no BDD work, so programs with a cyclic
+// dependency graph (every process of Byzantine agreement reads every
+// decision) go straight to the peel.
+func certifyAcyclic(c *Compiled, parts []bdd.Node, region bdd.Node) certVerdict {
+	if !c.depAcyclic || len(parts) != len(c.Procs) {
+		return certCyclicGraph
+	}
+	m := c.Space.M
+	s := c.Space
+	sc := m.Protect()
+	defer sc.Release()
+	sc.Keep(region)
+	for _, p := range parts {
+		sc.Keep(p)
+	}
+	for j, p := range parts {
+		if !m.Implies(p, c.Procs[j].WriteOK) {
+			return certWriteIllegal
+		}
+	}
+	inside := sc.Keep(m.And(region, s.Prime(region)))
+	proj := sc.Slot(bdd.False)
+	z := sc.Slot(bdd.False)
+	for j, p := range parts {
+		if p == bdd.False {
+			continue
+		}
+		proj.Set(m.AndExists(p, inside, c.Procs[j].unreadCube))
+		// Local GFP over j's readable bits: proj mentions no other variable.
+		z.Set(bdd.True)
+		for {
+			next := m.And(z.Node(), m.AndExists(proj.Node(), s.Prime(z.Node()), s.NextCube()))
+			if next == z.Node() {
+				break
+			}
+			z.Set(next)
+		}
+		if z.Node() != bdd.False {
+			return certCyclicProjection
+		}
+	}
+	return certProved
+}
+
+// cyclicCorePeel is the greatest fixpoint itself, peeling states without a
+// successor in the set until none is left to peel.
+//
 // The fixpoint runs on the union of the partitions restricted to
 // region × region, computed once up front: the greatest fixpoint peels the
 // set one layer per iteration (a chain of n cells takes ~n iterations), so a
 // single static relation whose relational-product subresults stay cached
 // across iterations beats re-scanning every partition per iteration.
-func CyclicCore(c *Compiled, parts []bdd.Node, region bdd.Node) bdd.Node {
+func cyclicCorePeel(c *Compiled, parts []bdd.Node, region bdd.Node) bdd.Node {
 	m := c.Space.M
 	s := c.Space
 	sc := m.Protect()

@@ -180,6 +180,12 @@ type Compiled struct {
 	// CostRules is the symbolic form of Def.CostRules: each rule's predicate
 	// lowered to a transition relation (conjoined with ValidTrans).
 	CostRules []CompiledCostRule
+
+	// depAcyclic reports that the processes' write→read dependency graph
+	// (an edge i→j, i ≠ j, when process i writes a variable process j
+	// reads) has no cycle — the structural half of CyclicCore's acyclicity
+	// certificate.
+	depAcyclic bool
 }
 
 // CompiledCostRule is the symbolic form of one CostRule.
@@ -221,6 +227,7 @@ func (d *Def) Compile() (*Compiled, error) {
 	}
 	c.Trans = m.Ref(trans.Node())
 	c.AnyWrite = m.Ref(anyWrite.Node())
+	c.depAcyclic = dependencyAcyclic(c.Procs)
 	for i, fa := range d.Faults {
 		tr, err := compileAction(space, fa, nil)
 		if err != nil {
@@ -346,6 +353,47 @@ func compileProcess(s *symbolic.Space, p *Process) (*CompiledProc, error) {
 	}
 	cp.Trans = m.Ref(trans.Node())
 	return cp, nil
+}
+
+// dependencyAcyclic reports whether the write→read dependency graph of procs
+// is acyclic: process i precedes process j (i ≠ j) when i writes a variable
+// j reads. Kahn's algorithm: the graph is acyclic iff repeatedly removing a
+// process with no remaining predecessor removes them all.
+func dependencyAcyclic(procs []*CompiledProc) bool {
+	succ := make([][]int, len(procs))
+	indeg := make([]int, len(procs))
+	for i, pi := range procs {
+		for j, pj := range procs {
+			if i == j {
+				continue
+			}
+			for v := range pi.Write {
+				if pj.Read[v] {
+					succ[i] = append(succ[i], j)
+					indeg[j]++
+					break
+				}
+			}
+		}
+	}
+	var ready []int
+	for j, d := range indeg {
+		if d == 0 {
+			ready = append(ready, j)
+		}
+	}
+	removed := 0
+	for len(ready) > 0 {
+		i := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		removed++
+		for _, j := range succ[i] {
+			if indeg[j]--; indeg[j] == 0 {
+				ready = append(ready, j)
+			}
+		}
+	}
+	return removed == len(procs)
 }
 
 // compileAction lowers a guarded command to a transition predicate. When cp

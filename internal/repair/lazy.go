@@ -101,22 +101,20 @@ func LazyEngine(ctx context.Context, eng *program.Engine, opts Options) (*Result
 		}
 		realized := realizedS.Set(m.OrN(parts...))
 
-		// Group-aware cycle elimination. Step 1 kept recovery maximal, so
-		// the realized program may loop outside the invariant. Cycles are
-		// broken here, where whole read-restriction groups can be removed
-		// at once: removing a single rank-violating transition would break
-		// its group and un-realize the program, which is exactly the
-		// failure mode of group-oblivious cycle-breaking in Step 1.
-		// With cycle-breaking done in Step 1 (the default), the realized
-		// program is a subset of an already livelock-free relation, so no
-		// cycle work is needed here — exactly the paper's Algorithm 2. In
-		// the DeferCycleBreaking ablation, Step 1 kept recovery maximal and
-		// cycles are eliminated here, group-aware: whole read-restriction
-		// groups are removed at once. Every cycle outside the invariant
-		// consists entirely of edges that do not strictly decrease the
-		// breadth-first rank toward the invariant (a rank-decreasing edge
-		// drops the rank, so no cycle can close through one), so the
-		// infinite-path fixpoint runs on the bad-edge subrelation only.
+		// Cycle elimination. With cycle-breaking done in Step 1 (the
+		// default), the realized program is a subset of an already
+		// livelock-free relation, so no cycle work is needed here — exactly
+		// the paper's Algorithm 2. In the DeferCycleBreaking ablation, Step 1
+		// kept recovery maximal and cycles are eliminated here, group-aware:
+		// removing a single rank-violating transition would break its group
+		// and un-realize the program, so whole read-restriction groups are
+		// removed at once. Each pass ranks the region by breadth-first
+		// distance to the invariant and collects in bad every edge that does
+		// not strictly decrease the rank. A cycle may still close through a
+		// rank-decreasing edge (s→t down, t→s up), so the infinite-path
+		// fixpoint runs on the whole realized relation; every cycle in its
+		// core has at least one non-decreasing edge, and bad ∧ core ∧ core′
+		// holds all of those.
 		region := sc.Keep(m.Diff(mask.FaultSpan, mask.Invariant))
 		for opts.DeferCycleBreaking {
 			if err := cancelled(ctx); err != nil {
@@ -144,11 +142,7 @@ func LazyEngine(ctx context.Context, eng *program.Engine, opts Options) (*Result
 			for _, part := range parts {
 				bad.Set(m.Or(bad.Node(), m.And(part, remaining.Node())))
 			}
-			badParts := make([]bdd.Node, len(parts))
-			for j := range parts {
-				badParts[j] = isc.Keep(m.And(parts[j], bad.Node()))
-			}
-			core := isc.Keep(program.CyclicCore(c, badParts, region))
+			core := isc.Keep(program.CyclicCore(c, parts, region))
 			toRemove := isc.Keep(m.Or(m.AndN(bad.Node(), core, s.Prime(core)), m.And(bad.Node(), remaining.Node())))
 			// Cost-aware refinement: drop only the cheapest weight class per
 			// pass. Ranks are recomputed against the shrunken relation each
