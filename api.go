@@ -61,8 +61,9 @@ func WithAlgorithm(a Algorithm) Option {
 // cadences, BDD backend), so callers set only what they mean.
 type EngineConfig struct {
 	// Workers is the worker count; below 1 selects GOMAXPROCS, 1 is serial.
-	// Each worker is a private BDD manager; results are identical for any
-	// count.
+	// Each worker is a private BDD manager, compiled only when a
+	// per-process fan-out is large enough to use it; fixpoints run on the
+	// owner. Results are identical for any count.
 	Workers int
 	// NodeBudget, when positive, bounds the live BDD node count; a blown
 	// budget fails the run with *BudgetError instead of exhausting memory.

@@ -55,7 +55,7 @@ func main() {
 		witnesses = flag.Int("witnesses", 4, "max recovery demonstrations with -explain (one per fault action)")
 		jsonOut   = flag.Bool("json", false, "emit one machine-readable JSON report on stdout")
 		timeout   = flag.Duration("timeout", 0, "abort synthesis after this long (0 = no limit)")
-		workers   = flag.Int("workers", 0, "parallel-engine workers, each a private BDD manager (0 = GOMAXPROCS, 1 = serial)")
+		workers   = flag.Int("workers", 0, "parallel-engine workers for the large per-process closures, each a private BDD manager built on first use (0 = GOMAXPROCS, 1 = serial)")
 		budget    = flag.Int64("node-budget", 0, "fail the run if live BDD nodes exceed this after a collection (0 = unbounded)")
 		reorder   = flag.Int64("reorder", 0, "run a BDD variable-reordering (sifting) pass after this many node allocations (0 = off)")
 		costModel = flag.String("cost-model", "", "price transitions and minimize repair cost: \"default=N,action=W,proc.action=W,...\" (weights override .ftr cost annotations)")

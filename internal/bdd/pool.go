@@ -33,18 +33,12 @@ func NewPool(workers []*Manager) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Workers returns the number of worker managers in the pool.
-func (p *Pool) Workers() int { return len(p.workers) }
-
-// Worker returns the i-th worker manager.
-func (p *Pool) Worker(i int) *Manager { return p.workers[i] }
-
 // Map evaluates fn once per task index in [0, tasks), distributing tasks
 // across the pool's workers, and returns the produced buffers in task order.
-// fn runs on the goroutine that owns worker w (= Worker(worker)) and must
-// confine all BDD operations to that manager. The first error (or a context
-// cancellation, reported as ctx.Err()) stops the pool after in-flight tasks
-// finish.
+// fn runs on the goroutine that owns w, the worker-th manager passed to
+// NewPool, and must confine all BDD operations to that manager. The first
+// error (or a context cancellation, reported as ctx.Err()) stops the pool
+// after in-flight tasks finish.
 func (p *Pool) Map(ctx context.Context, tasks int, fn func(w *Manager, worker, task int) ([]byte, error)) ([][]byte, error) {
 	results := make([][]byte, tasks)
 	if tasks == 0 {

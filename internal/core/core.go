@@ -105,7 +105,7 @@ type Outcome struct {
 //
 // One parallel engine (sized by Job.Options.Workers; 0 selects GOMAXPROCS)
 // is built per run and shared between the synthesis and the verifier, so the
-// worker clones are compiled once.
+// worker clones, if a fan-out needs them, are compiled once.
 func Run(ctx context.Context, job Job) (out *Outcome, err error) {
 	progress := func(phase string) {
 		if job.Progress != nil {

@@ -34,9 +34,13 @@ func TestWorkersDeterministic(t *testing.T) {
 		{"ring", 2, LazyRepair, true, false},
 		{"tmr", 0, LazyRepair, true, false},
 		{"sc", 5, CautiousRepair, true, false},
-		// The deep-diameter instance: the scheduler must fan out (not hide
-		// behind its cost-aware serial path) and still match the serial run.
+		// The deepest chain instance. Every fixpoint runs on the owner, and
+		// its Step-2 relation (1,776 nodes) is below the fan-out gate, so
+		// Workers=4 takes the owner path throughout.
 		{"sc", 12, LazyRepair, false, false},
+		// The row that crosses the gate: ba(8)'s Step-2 relation has 6,211
+		// nodes, so that fan-out compiles the worker clones and runs on them.
+		{"ba", 8, LazyRepair, true, false},
 		// Weighted runs: the ADD weight layer, cheapest-first cycle breaking,
 		// and recovery thinning must all be worker-count-invariant — Normalized
 		// keeps achieved_cost/cost_removed, so any divergence fails the byte
@@ -147,9 +151,13 @@ func TestSharedDeterministic(t *testing.T) {
 		{"ring", 2, LazyRepair, true, false},
 		{"tmr", 0, LazyRepair, true, false},
 		{"sc", 5, CautiousRepair, false, false},
-		// Deep diameter: the verifier's fixpoints fan out on the second
-		// engine's worker clones.
+		// Deep diameter, on the owner path: no fan-out of sc(12) reaches the
+		// gate.
 		{"sc", 12, LazyRepair, false, false},
+		// Above the gate: Step 2 builds the synthesis engine's clones, and
+		// the verifier's engine builds none of its own (ba(8)'s repaired
+		// relation, 3,994 nodes, stays below the gate).
+		{"ba", 8, LazyRepair, true, false},
 		// Weighted runs: the ADD weight layer lives on the owner manager and
 		// must survive the handover between engines unchanged.
 		{"ba", 3, LazyRepair, true, true},

@@ -45,10 +45,9 @@ type RunReport struct {
 	BDDNodesFreed  int64 `json:"bdd_nodes_freed,omitempty"`
 	BDDReorderRuns int64 `json:"bdd_reorder_runs,omitempty"`
 
-	// Fixpoint-scheduler work counters (internal/program's frontier-chained
-	// scheduler): rounds and frontier images across every reachability
-	// fixpoint of the run, and the peak and final frontier sizes in BDD
-	// nodes.
+	// Fixpoint work counters (internal/program's frontier-chained
+	// fixpoint): the reachability fixpoints run (one round each) and their
+	// frontier images, and the peak and final frontier sizes in BDD nodes.
 	FixRounds        int64 `json:"fix_rounds,omitempty"`
 	FixImages        int64 `json:"fix_images,omitempty"`
 	FixFrontierPeak  int64 `json:"fix_frontier_peak,omitempty"`
@@ -171,9 +170,8 @@ func (r RunReport) Normalized() RunReport {
 	// reordering cadence exactly like BDDNodes does.
 	r.BDDNodesLive, r.BDDPeakNodes, r.BDDGCRuns, r.BDDNodesFreed = 0, 0, 0, 0
 	r.BDDReorderRuns = 0
-	// Scheduler work counters: rounds, images, and frontier sizes depend on
-	// the worker count (blocks per round) — how the fixpoint was computed,
-	// not what it is.
+	// Fixpoint work counters: rounds, images, and frontier sizes say how
+	// the fixpoints were computed, not what they are.
 	r.FixRounds, r.FixImages, r.FixFrontierPeak, r.FixFrontierFinal = 0, 0, 0, 0
 	r.CompileNS, r.Step1NS, r.Step2NS, r.TotalNS, r.VerifyNS = 0, 0, 0, 0, 0
 	r.WitnessNS = 0

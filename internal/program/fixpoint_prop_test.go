@@ -1,11 +1,9 @@
 package program
 
-// Property test for the unified fixpoint scheduler: on a corpus of random
-// small models, the frontier-chained scheduler — serial and partitioned,
-// with the fan-out threshold forced down so even tiny rounds take the
-// parallel paths — must reach exactly the fixpoint the full-set oracle
-// (symbolic.ReachablePartsCtx / BackwardReachablePartsCtx) computes, forward
-// and backward. On failure the model shrinks greedily (dropping one action
+// Property test for the frontier-chained fixpoint: on a corpus of random
+// small models, the fixpoint of a serial and of a two-worker engine must be
+// exactly the one the full-set oracle (symbolic.ReachablePartsCtx /
+// BackwardReachablePartsCtx) computes, forward and backward. On failure the model shrinks greedily (dropping one action
 // at a time while the mismatch persists) before reporting.
 
 import (
@@ -83,7 +81,7 @@ func genDef(r *rand.Rand, seed int) *Def {
 }
 
 // checkDef compares the scheduler against the full-set oracle on one model,
-// in both directions and on all three engine configurations. It returns a
+// in both directions and on both engines. It returns a
 // description of the first mismatch, or "" when the model passes.
 func checkDef(t *testing.T, d *Def, seed int64) string {
 	c, err := d.Compile()
@@ -116,7 +114,6 @@ func checkDef(t *testing.T, d *Def, seed int64) string {
 		if err != nil {
 			return fmt.Sprintf("%s: engine: %v", ec.name, err)
 		}
-		e.fanoutMin = 1 // force even tiny rounds through the parallel paths
 		gotFwd, err := e.ReachableParts(context.Background(), init, parts)
 		if err != nil {
 			return fmt.Sprintf("%s forward: %v", ec.name, err)

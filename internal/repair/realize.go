@@ -56,18 +56,13 @@ func RealizeParts(c *program.Compiled, delta, span bdd.Node) []bdd.Node {
 }
 
 // RealizePartsEngine is RealizeParts with the per-process group-closure
-// computations — the expensive part of Step 2 — fanned out across the
-// engine's workers. Each process's maximal realizable subset depends only on
-// the shared candidate relation, so the tasks are independent and the merged
-// result is identical to the serial one.
+// computations — the expensive part of Step 2 — handed to the engine's
+// MapProcs, which fans them out across the workers when the candidate
+// relation is large enough to pay for it. Each process's maximal realizable
+// subset depends only on the shared candidate relation, so the tasks are
+// independent and the merged result is identical to the serial one.
 func RealizePartsEngine(ctx context.Context, e *program.Engine, delta, span bdd.Node) ([]bdd.Node, error) {
 	c := e.C
-	if e.Workers() <= 1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return RealizeParts(c, delta, span), nil
-	}
 	m := c.Space.M
 	free := m.And(m.Not(span), c.Space.ValidTrans())
 	d := m.Or(m.And(delta, c.Space.ValidTrans()), free)

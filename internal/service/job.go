@@ -32,8 +32,8 @@ func (s State) Terminal() bool {
 }
 
 // MaxJobWorkers bounds EngineSpec.Workers: each engine worker costs a
-// private BDD manager, so an unbounded request would let one client exhaust
-// the daemon's memory.
+// private BDD manager once a fan-out needs one, so an unbounded request
+// would let one client exhaust the daemon's memory.
 const MaxJobWorkers = 16
 
 // MaxWitnesses bounds Spec.Witnesses: each demonstration costs a serial

@@ -153,7 +153,7 @@ func (m *metrics) write(w io.Writer, s *Service) {
 	g("ftrepaird_bdd_peak_nodes", "Largest per-job peak live BDD node count observed.", m.get(&m.peakNodes))
 	g("ftrepaird_bdd_live_nodes", "Live BDD node count of the most recently finished job.", m.get(&m.liveNodes))
 
-	c("ftrepaird_fixpoint_rounds_total", "Reachability-scheduler rounds across finished jobs.", m.get(&m.fixRounds))
+	c("ftrepaird_fixpoint_rounds_total", "Reachability fixpoints (one round each) across finished jobs.", m.get(&m.fixRounds))
 	c("ftrepaird_fixpoint_images_total", "Frontier images computed across finished jobs.", m.get(&m.fixImages))
 	g("ftrepaird_fixpoint_frontier_peak_nodes", "Largest frontier BDD (nodes) observed in any job.", m.get(&m.fixFrontierPeak))
 
