@@ -42,7 +42,6 @@ type repairConfig struct {
 	alg       Algorithm
 	timeout   time.Duration
 	witnesses int
-	backend   Backend
 	opts      repair.Options
 }
 
@@ -55,10 +54,9 @@ func WithAlgorithm(a Algorithm) Option {
 }
 
 // EngineConfig consolidates every engine-tuning knob behind one struct: the
-// worker count, the node-lifetime knobs (budget, GC cadence, reordering
-// cadence), and the verification backend. The zero value of every field
-// selects its default (GOMAXPROCS workers, unbounded nodes, default
-// cadences, BDD backend), so callers set only what they mean.
+// worker count, the node budget and the reordering cadence. The zero value
+// of every field selects its default (GOMAXPROCS workers, unbounded nodes,
+// no reordering), so callers set only what they mean.
 type EngineConfig struct {
 	// Workers is the worker count; below 1 selects GOMAXPROCS, 1 is serial.
 	// Each worker is a private BDD manager, compiled only when a
@@ -68,30 +66,21 @@ type EngineConfig struct {
 	// NodeBudget, when positive, bounds the live BDD node count; a blown
 	// budget fails the run with *BudgetError instead of exhausting memory.
 	NodeBudget int64
-	// GCThreshold overrides the automatic-collection cadence: positive
-	// collects after that many allocations, negative disables automatic
-	// collection, 0 keeps the default.
-	GCThreshold int64
 	// Reorder arms dynamic variable reordering with the given allocation
 	// cadence; negative disables it, 0 keeps the default.
 	Reorder int64
-	// Backend routes Verify's reachability checks: BackendBDD (default) or
-	// BackendSAT.
-	Backend Backend
 }
 
 // WithEngine applies a full engine configuration. It is the single
 // engine-tuning entry point and it assigns every field, so combine it with
 // other options by placing WithEngine first (like WithOptions). The former
-// per-knob wrappers (WithWorkers, WithNodeBudget, WithReorder, WithBackend)
-// were removed; each one maps to the EngineConfig field of the same name.
+// per-knob wrappers (WithWorkers, WithNodeBudget, WithReorder) were removed;
+// each one maps to the EngineConfig field of the same name.
 func WithEngine(ec EngineConfig) Option {
 	return func(c *repairConfig) {
 		c.opts.Workers = ec.Workers
 		c.opts.NodeBudget = ec.NodeBudget
-		c.opts.GCThreshold = ec.GCThreshold
 		c.opts.Reorder = ec.Reorder
-		c.backend = ec.Backend
 	}
 }
 
@@ -226,9 +215,8 @@ func NodeStats(c *Compiled) (live, peak, gcRuns, freed int64) {
 // definitions: the problem-statement conditions of Section II, masking
 // fault-tolerance (Definition 15), and realizability (Definitions 19–20).
 // It accepts the same functional options as Repair — WithEngine selects the
-// worker count and node-lifetime knobs of the checking managers and routes
-// the reachability checks through the SAT/BMC engine via its Backend field,
-// and WithTimeout bounds the checking. Options that only steer synthesis
+// worker count and node-lifetime knobs of the checking managers, and
+// WithTimeout bounds the checking. Options that only steer synthesis
 // (WithAlgorithm, WithWitnesses, WithCostModel) are accepted and ignored.
 func Verify(ctx context.Context, c *Compiled, res *Result, opts ...Option) (report *Report, err error) {
 	cfg := repairConfig{opts: repair.DefaultOptions()}
@@ -258,9 +246,5 @@ func Verify(ctx context.Context, c *Compiled, res *Result, opts ...Option) (repo
 			report, err = nil, fmt.Errorf("repro: %w", be)
 		}
 	}()
-	backend, err := verify.ParseBackend(string(cfg.backend))
-	if err != nil {
-		return nil, fmt.Errorf("repro: %w", err)
-	}
-	return verify.ResultBackendEngine(ctx, eng, res, backend, false)
+	return verify.ResultEngine(ctx, eng, res)
 }

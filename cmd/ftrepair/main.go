@@ -11,10 +11,10 @@
 //
 // With -server the same flag set describes the same job, but it runs on a
 // remote ftrepaird instead of in-process: the spec is POSTed with the engine
-// and cost options in its structured engine and cost objects, progress is
-// followed over the event stream (-v prints phases), and the verified report
-// is rendered locally. -protocol needs the compiled
-// state space and is local-only.
+// and cost options in its structured engine and cost objects, and progress is
+// followed over the event stream (-v prints phases). Either way the job ends
+// in one core.RunReport, printed by the same renderer (as JSON with -json).
+// -protocol needs the compiled state space, so it is local-only and text-only.
 //
 // Case studies: ba (Byzantine agreement), bafs (Byzantine agreement with
 // fail-stop faults), sc (stabilizing chain), ring (Dijkstra token ring),
@@ -29,6 +29,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/parse"
@@ -45,7 +46,6 @@ func main() {
 		n         = flag.Int("n", 3, "instance size (non-generals / chain cells)")
 		alg       = flag.String("alg", "lazy", "repair algorithm: lazy or cautious")
 		doVerify  = flag.Bool("verify", true, "run the independent verifier on the result")
-		backend   = flag.String("backend", "bdd", "verification backend: bdd (exact fixpoints) or sat (bounded model checking)")
 		verbose   = flag.Bool("v", false, "log repair progress")
 		protocol  = flag.Bool("protocol", false, "print the synthesized per-process protocol")
 		pure      = flag.Bool("pure", false, "disable the reachability heuristic (pure lazy)")
@@ -72,10 +72,14 @@ func main() {
 		costs = cm
 	}
 
+	if *protocol && *server != "" {
+		fatal(fmt.Errorf("-protocol requires a local run (the compiled state space never leaves the server)"))
+	}
+	if *protocol && *jsonOut {
+		fatal(fmt.Errorf("-protocol prints text and cannot be combined with -json"))
+	}
+
 	if *server != "" {
-		if *protocol {
-			fatal(fmt.Errorf("-protocol requires a local run (the compiled state space never leaves the server)"))
-		}
 		spec := service.Spec{
 			Case:        *caseName,
 			N:           *n,
@@ -88,7 +92,6 @@ func main() {
 				Workers:    *workers,
 				NodeBudget: *budget,
 				Reorder:    *reorder,
-				Backend:    *backend,
 			},
 		}
 		if costs != nil {
@@ -145,16 +148,11 @@ func main() {
 		defer cancel()
 	}
 
-	be, err := verify.ParseBackend(*backend)
-	if err != nil {
-		fatal(err)
-	}
 	job := core.Job{
 		Def:       def,
 		Algorithm: core.Algorithm(*alg),
 		Options:   opts,
 		Verify:    *doVerify,
-		Backend:   be,
 	}
 	if *explain {
 		job.Witnesses = *witnesses
@@ -163,73 +161,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	if *jsonOut {
-		cn, cnN := *caseName, *n
-		if *file != "" {
-			cn, cnN = "", 0
-		}
-		report := core.NewRunReport(job, out, cn, cnN)
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fatal(err)
-		}
-		if out.Report != nil && !out.Report.OK() {
-			os.Exit(1)
-		}
-		return
+	cn, cnN := *caseName, *n
+	if *file != "" {
+		cn, cnN = "", 0
 	}
-
-	s := out.Compiled.Space
-	res := out.Result
-	fmt.Printf("case study:        %s\n", def.Name)
-	fmt.Printf("algorithm:         %s\n", *alg)
-	fmt.Printf("state space:       %.3g states (%d boolean bits)\n",
-		s.CountStates(s.ValidCur()), s.TotalBits())
-	fmt.Printf("reachable states:  %.3g\n", res.Stats.ReachableStates)
-	fmt.Printf("compile time:      %v\n", out.CompileTime)
-	if res.Stats.Total > 0 {
-		fmt.Printf("repair time:       %v\n", res.Stats.Total)
-	}
-	if res.Stats.Step1 > 0 || res.Stats.Step2 > 0 {
-		fmt.Printf("  step 1:          %v\n", res.Stats.Step1)
-		fmt.Printf("  step 2:          %v\n", res.Stats.Step2)
-	}
-	fmt.Printf("outer iterations:  %d\n", res.Stats.OuterIterations)
-	fmt.Printf("engine workers:    %d\n", out.Workers)
-	fmt.Printf("invariant:         %.3g states\n", s.CountStates(res.Invariant))
-	fmt.Printf("fault-span:        %.3g states\n", s.CountStates(res.FaultSpan))
-	fmt.Printf("BDD nodes:         %d\n", res.Stats.BDDNodes)
-	if res.Costed {
-		fmt.Printf("achieved cost:     %.4g (weighted recovery transitions kept)\n", res.AchievedCost)
-		fmt.Printf("cost removed:      %.4g (weighted original transitions deleted)\n", res.CostRemoved)
-	}
-
-	if out.Report != nil {
-		fmt.Printf("\nverification:\n%s", out.Report)
-		if st := out.SATStats; st != nil {
-			fmt.Printf("SAT solver:        %d conflicts, %d decisions, %d propagations, %d learned, max level %d\n",
-				st.Conflicts, st.Decisions, st.Propagations, st.Learned, st.MaxLevel)
-		}
-	}
-	if *explain {
-		if out.Report != nil {
-			for _, c := range out.Report.Checks {
-				if c.Witness != nil {
-					fmt.Printf("\nwitness for failed check:\n%s", c.Witness)
-				}
-			}
-		}
-		for _, tr := range res.Witnesses {
-			fmt.Printf("\nrecovery demonstration:\n%s", tr)
-		}
-	}
-	if out.Report != nil && !out.Report.OK() {
-		fatal(fmt.Errorf("verification failed: %v", out.Report.Failures()))
-	}
+	report := core.NewRunReport(job, out, cn, cnN)
+	printReport(&report, *jsonOut, *explain)
 
 	if *protocol {
+		s, res := out.Compiled.Space, out.Result
 		fmt.Printf("\nsynthesized protocol (restricted to the fault-span):\n")
 		m := s.M
 		inSpan := m.AndN(res.Trans, res.FaultSpan, s.ValidTrans())
@@ -241,6 +181,63 @@ func main() {
 				fmt.Printf("  %s\n", line)
 			}
 		}
+	}
+}
+
+// printReport renders the job's RunReport — built locally or returned by
+// the server — as indented JSON with -json and as text otherwise, then exits
+// non-zero if the verifier ran and failed.
+func printReport(r *core.RunReport, jsonOut, explain bool) {
+	var rep *verify.Report
+	if r.Verified != nil {
+		rep = &verify.Report{Checks: r.Checks}
+	}
+	if jsonOut {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(r); err != nil {
+			fatal(err)
+		}
+		if rep != nil && !rep.OK() {
+			os.Exit(1)
+		}
+		return
+	}
+
+	fmt.Printf("case study:        %s\n", r.Model)
+	fmt.Printf("algorithm:         %s\n", r.Algorithm)
+	fmt.Printf("state space:       %.3g states (%d boolean bits)\n", r.States, r.StateBits)
+	fmt.Printf("reachable states:  %.3g\n", r.ReachableStates)
+	fmt.Printf("compile time:      %v\n", time.Duration(r.CompileNS))
+	fmt.Printf("repair time:       %v\n", time.Duration(r.TotalNS))
+	if r.Step1NS > 0 || r.Step2NS > 0 {
+		fmt.Printf("  step 1:          %v\n", time.Duration(r.Step1NS))
+		fmt.Printf("  step 2:          %v\n", time.Duration(r.Step2NS))
+	}
+	fmt.Printf("outer iterations:  %d\n", r.OuterIterations)
+	fmt.Printf("engine workers:    %d\n", r.Workers)
+	fmt.Printf("invariant:         %.3g states\n", r.InvariantStates)
+	fmt.Printf("fault-span:        %.3g states\n", r.FaultSpanStates)
+	fmt.Printf("BDD nodes:         %d\n", r.BDDNodes)
+	if r.Costed {
+		fmt.Printf("achieved cost:     %.4g (weighted recovery transitions kept)\n", r.AchievedCost)
+		fmt.Printf("cost removed:      %.4g (weighted original transitions deleted)\n", r.CostRemoved)
+	}
+	if rep != nil {
+		fmt.Printf("\nverification:\n%s", rep)
+	}
+	if explain {
+		for _, c := range r.Checks {
+			if c.Witness != nil {
+				fmt.Printf("\nwitness for failed check:\n%s", c.Witness)
+			}
+		}
+		for _, tr := range r.Witnesses {
+			fmt.Printf("\nrecovery demonstration:\n%s", tr)
+		}
+	}
+	if rep != nil && !rep.OK() {
+		fatal(fmt.Errorf("verification failed: %v", rep.Failures()))
 	}
 }
 

@@ -8,14 +8,14 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/service"
 )
 
 // runRemote executes the job on a remote ftrepaird instead of in-process: it
 // POSTs the spec, follows the job's event stream via the JSON long-poll
-// (progress goes to stderr under -v), and renders the final RunReport. The
+// (progress goes to stderr under -v), and renders the final RunReport with
+// printReport, after the server and cache lines in text mode. The
 // same flag set drives both paths, so `ftrepair -case ba -n 3` and
 // `ftrepair -server http://host:8727 -case ba -n 3` describe the identical
 // job.
@@ -84,72 +84,11 @@ func runRemote(server string, spec service.Spec, verbose, jsonOut, explain bool)
 		fatal(fmt.Errorf("remote job done but carried no report"))
 	}
 
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fatal(err)
-		}
-		if report.Verified != nil && !*report.Verified {
-			os.Exit(1)
-		}
-		return
+	if !jsonOut {
+		fmt.Printf("server:            %s\n", server)
+		fmt.Printf("cache hit:         %t\n", final.CacheHit)
 	}
-
-	name := report.Model
-	if report.Case != "" {
-		name = fmt.Sprintf("%s (n=%d)", report.Case, report.N)
-	}
-	fmt.Printf("server:            %s\n", server)
-	fmt.Printf("case study:        %s\n", name)
-	fmt.Printf("algorithm:         %s\n", report.Algorithm)
-	fmt.Printf("cache hit:         %t\n", final.CacheHit)
-	fmt.Printf("state space:       %.3g states (%d boolean bits)\n", report.States, report.StateBits)
-	fmt.Printf("reachable states:  %.3g\n", report.ReachableStates)
-	fmt.Printf("compile time:      %v\n", time.Duration(report.CompileNS))
-	fmt.Printf("repair time:       %v\n", time.Duration(report.TotalNS))
-	fmt.Printf("  step 1:          %v\n", time.Duration(report.Step1NS))
-	fmt.Printf("  step 2:          %v\n", time.Duration(report.Step2NS))
-	fmt.Printf("outer iterations:  %d\n", report.OuterIterations)
-	fmt.Printf("invariant:         %.3g states\n", report.InvariantStates)
-	fmt.Printf("fault-span:        %.3g states\n", report.FaultSpanStates)
-	fmt.Printf("BDD nodes:         %d\n", report.BDDNodes)
-	if report.Costed {
-		fmt.Printf("achieved cost:     %.4g (weighted recovery transitions kept)\n", report.AchievedCost)
-		fmt.Printf("cost removed:      %.4g (weighted original transitions deleted)\n", report.CostRemoved)
-	}
-	if report.Verified != nil {
-		fmt.Printf("\nverification (%s backend):\n", report.Backend)
-		for _, c := range report.Checks {
-			mark := "ok"
-			if !c.OK {
-				mark = "FAIL"
-				if c.Warning {
-					mark = "warn"
-				}
-			}
-			fmt.Printf("  [%-4s] %s", mark, c.Name)
-			if c.Detail != "" {
-				fmt.Printf(": %s", c.Detail)
-			}
-			fmt.Println()
-		}
-	}
-	if explain {
-		if report.Verified != nil {
-			for _, c := range report.Checks {
-				if c.Witness != nil {
-					fmt.Printf("\nwitness for failed check:\n%s", c.Witness)
-				}
-			}
-		}
-		for _, tr := range report.Witnesses {
-			fmt.Printf("\nrecovery demonstration:\n%s", tr)
-		}
-	}
-	if report.Verified != nil && !*report.Verified {
-		fatal(fmt.Errorf("verification failed"))
-	}
+	printReport(report, jsonOut, explain)
 }
 
 func decodeView(resp *http.Response) service.JobView {

@@ -336,13 +336,6 @@ func (m *Manager) NVar(v int) Node {
 // VarName returns the registered name of the variable with the given id.
 func (m *Manager) VarName(v int) string { return m.varNames[v] }
 
-// Level returns the current order position of the root of f, or a value
-// larger than any variable level if f is a terminal. Levels move under
-// reordering; use VarOf for the stable variable id.
-func (m *Manager) Level(f Node) int {
-	return int(m.nodes[f].level)
-}
-
 // IsTerminal reports whether f is one of the two constant functions.
 func (m *Manager) IsTerminal(f Node) bool { return f <= True }
 

@@ -92,14 +92,6 @@ func (m *Manager) VarOf(f Node) int {
 	return int(m.level2var[m.nodes[f].level])
 }
 
-// LevelOfVar returns the current order position of variable v.
-func (m *Manager) LevelOfVar(v int) int {
-	if v < 0 || v >= m.numVars {
-		panic(fmt.Sprintf("bdd: variable %d out of range [0,%d)", v, m.numVars))
-	}
-	return int(m.var2level[v])
-}
-
 // Order returns the current variable order as a fresh slice: Order()[l] is
 // the id of the variable at level l.
 func (m *Manager) Order() []int {

@@ -60,9 +60,6 @@ func (m *Manager) satRec(f Node) float64 {
 	return c
 }
 
-// IsSat reports whether f has at least one satisfying assignment.
-func (m *Manager) IsSat(f Node) bool { return f != False }
-
 // Eval evaluates f under the given total assignment (indexed by variable
 // id).
 func (m *Manager) Eval(f Node, assignment []bool) bool {

@@ -37,11 +37,9 @@ type Job struct {
 	Options   repair.Options
 	// Verify runs the independent checker on the result.
 	Verify bool
-	// Backend selects the verification backend: verify.BackendBDD (the
-	// default, also selected by the empty string) or verify.BackendSAT, which
-	// routes the reachability checks and the safety/deadlock witness search
-	// through bounded model checking over the CDCL solver. The repair
-	// algorithms themselves always run on the BDD engine.
+	// Backend is passed to verify.ResultBackendEngine; the empty string
+	// selects the BDD verifier. No user surface sets it: it remains for
+	// bench/trace.go, which mirrors Run's verify call.
 	Backend verify.Backend
 	// Witnesses, when positive, asks for up to that many recovery
 	// demonstrations on success (one per fault action) in
@@ -74,8 +72,8 @@ type Outcome struct {
 	Compiled *program.Compiled
 	Result   *repair.Result
 	Report   *verify.Report // nil unless Job.Verify
-	// SATStats is the solver work summed over the verifier's bounded
-	// model-checking queries; nil unless Job.Verify ran under BackendSAT.
+	// SATStats is the verifier's Report.SAT, nil under the BDD verifier.
+	// It remains for bench/trace.go, which mirrors Run's verify call.
 	SATStats *sat.Stats
 
 	CompileTime time.Duration

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/sat"
 	"repro/internal/verify"
 	"repro/internal/witness"
 )
@@ -22,11 +21,6 @@ type RunReport struct {
 	Pure        bool   `json:"pure,omitempty"`         // reachability heuristic disabled
 	DeferCycles bool   `json:"defer_cycles,omitempty"` // cycle-breaking after Step 2
 	Workers     int    `json:"workers,omitempty"`      // effective engine worker count
-	// Backend is the verification backend ("bdd" or "sat"); empty when
-	// verification was not requested. Kept by Normalized: the verdict is
-	// backend-independent, but which engine produced it is part of the
-	// report's identity.
-	Backend string `json:"backend,omitempty"`
 
 	StateBits       int     `json:"state_bits"`
 	States          float64 `json:"states"`
@@ -59,13 +53,6 @@ type RunReport struct {
 	TotalNS   int64 `json:"total_ns"`
 	VerifyNS  int64 `json:"verify_ns,omitempty"`
 	WitnessNS int64 `json:"witness_ns,omitempty"`
-
-	// SAT holds the CDCL solver's work counters (conflicts, decisions,
-	// propagations, learned clauses, restarts, max decision level) summed
-	// over the verifier's bounded model-checking queries. Nil unless the run
-	// verified under the SAT backend. Zeroed by Normalized: solver effort is
-	// performance telemetry, not part of the verdict.
-	SAT *sat.Stats `json:"sat,omitempty"`
 
 	// Verified is nil when verification was not requested; otherwise the
 	// verifier's verdict, with the individual checks in Checks.
@@ -145,12 +132,6 @@ func NewRunReport(job Job, out *Outcome, caseName string, n int) RunReport {
 		ok := out.Report.OK()
 		r.Verified = &ok
 		r.Checks = out.Report.Checks
-		backend, err := verify.ParseBackend(string(job.Backend))
-		if err != nil {
-			backend = job.Backend // unvalidated jobs render verbatim
-		}
-		r.Backend = string(backend)
-		r.SAT = out.SATStats
 	}
 	return r
 }
@@ -175,9 +156,6 @@ func (r RunReport) Normalized() RunReport {
 	r.FixRounds, r.FixImages, r.FixFrontierPeak, r.FixFrontierFinal = 0, 0, 0, 0
 	r.CompileNS, r.Step1NS, r.Step2NS, r.TotalNS, r.VerifyNS = 0, 0, 0, 0, 0
 	r.WitnessNS = 0
-	// Solver work counters are performance telemetry, like the BDD node
-	// counters above; the verdict they accompany is what must be identical.
-	r.SAT = nil
 	// Witnesses stay: extraction is deterministic, so they are part of the
 	// cross-worker-count identity the determinism tests assert. The cost
 	// fields stay for the same reason: exact weighted counts over the

@@ -126,12 +126,6 @@ func (e *Engine) SetNodeBudget(n int64) {
 	e.tune(func(m *bdd.Manager) { m.SetNodeBudget(n) })
 }
 
-// SetGCThreshold arms (or, with n <= 0, disarms) automatic collection on the
-// owning manager and every worker manager.
-func (e *Engine) SetGCThreshold(n int64) {
-	e.tune(func(m *bdd.Manager) { m.SetGCThreshold(n) })
-}
-
 // SetReorderThreshold arms (or, with n <= 0, disarms) automatic variable
 // reordering on the owning manager and every worker manager.
 func (e *Engine) SetReorderThreshold(n int64) {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -284,10 +285,20 @@ func TestLateClonesInheritSettings(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			c := wideDef(14).MustCompile()
 			e := forcedPool(t, c)
-			e.SetGCThreshold(row.gc)
+			e.tune(func(m *bdd.Manager) { m.SetGCThreshold(row.gc) })
 			e.SetReorderThreshold(row.reorder)
+			if len(c.Procs) != e.Workers() {
+				t.Fatalf("%d tasks on %d workers: the barrier below needs one task per worker", len(c.Procs), e.Workers())
+			}
+			// Each task waits for the other, so each runs on its own clone.
+			// A clone that ran the other task first would find every node
+			// of pairsOr still in its table and allocate nothing.
+			var arrived sync.WaitGroup
+			arrived.Add(len(c.Procs))
 			deltas := make([]bdd.Stats, len(c.Procs))
 			_, err := e.MapProcs(context.Background(), c.Trans, func(wc *Compiled, j int, _ bdd.Node) bdd.Node {
+				arrived.Done()
+				arrived.Wait()
 				wm := wc.Space.M
 				before := wm.Stats()
 				f := pairsOr(wm, 1, 12)

@@ -107,12 +107,6 @@ type Options struct {
 	// canonical BDDs and worker results are merged in deterministic task
 	// order.
 	Workers int
-	// GCThreshold overrides the managers' automatic-collection cadence for
-	// this run: a positive value collects after that many node allocations, a
-	// negative value disables automatic collection entirely (benchmarking the
-	// GC-off baseline), and 0 keeps the manager default (or the
-	// REPRO_GC_STRESS override).
-	GCThreshold int64
 	// NodeBudget, when positive, bounds the live BDD node count of the run's
 	// managers: if the synthesis pushes the live count past the budget and a
 	// collection cannot bring it back under, the run fails with a
@@ -175,21 +169,15 @@ func (o *Options) phase(name string) {
 	}
 }
 
-// ApplyEngine pushes the manager-tuning options — node budget, collection
-// cadence, reordering cadence — onto an engine's owner and worker managers.
-// Every run boundary that builds an engine (the repair algorithms, the
-// standalone verifier) funnels through it so the knobs mean the same thing
-// everywhere.
+// ApplyEngine pushes the manager-tuning options — node budget, reordering
+// cadence — onto an engine's owner and worker managers. Every run boundary
+// that builds an engine (the repair algorithms, the standalone verifier)
+// funnels through it so the knobs mean the same thing everywhere. The
+// collection cadence is the manager default (REPRO_GC_STRESS sets it), which
+// worker clones inherit when they compile.
 func (o *Options) ApplyEngine(eng *program.Engine) {
 	if o.NodeBudget > 0 {
 		eng.SetNodeBudget(o.NodeBudget)
-	}
-	if o.GCThreshold != 0 {
-		n := o.GCThreshold
-		if n < 0 {
-			n = 0 // manager semantics: <= 0 disables automatic GC
-		}
-		eng.SetGCThreshold(n)
 	}
 	if o.Reorder != 0 {
 		n := o.Reorder

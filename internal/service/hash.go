@@ -45,12 +45,15 @@ func defKey(def *program.Def, alg string, opts repair.Options) string {
 	// RunReport; v8: the cost model in the spec plus per-action cost
 	// annotations and cost rules from the .ftr source, and the cost fields in
 	// RunReport; v9: the shared engine was removed, and with it the engine
-	// mode from the spec, from this hash and from RunReport's engine_mode).
+	// mode from the spec, from this hash and from RunReport's engine_mode;
+	// v10: the SAT verification backend left every user surface, and with it
+	// the backend from the spec, from this hash and from RunReport's backend
+	// and sat fields).
 	// Dropping the spec's flat aliases of the engine and cost objects needed
 	// no bump: every spec that still parses resolves to the same options,
 	// hashes the same inputs, and yields the same report, so spilled results
 	// stay valid (TestSpecKeyGolden pins one such key).
-	wr("v9\x00alg=%s\x00heur=%t\x00defercyc=%t\x00maxiter=%d\x00workers=%d\x00nodebudget=%d\x00reorder=%d\x00",
+	wr("v10\x00alg=%s\x00heur=%t\x00defercyc=%t\x00maxiter=%d\x00workers=%d\x00nodebudget=%d\x00reorder=%d\x00",
 		alg, opts.ReachabilityHeuristic, opts.DeferCycleBreaking, opts.MaxOuterIterations, opts.Workers, opts.NodeBudget, opts.Reorder)
 	if opts.Costs != nil {
 		wr("cost:default=%d:minimize=%t\x00", opts.Costs.Default, opts.MinimizeCost)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/parse"
 	"repro/internal/program"
 	"repro/internal/repair"
-	"repro/internal/verify"
 )
 
 // State is a job's position in its lifecycle.
@@ -120,11 +119,6 @@ type EngineSpec struct {
 	// identical either way; only node counts and timing differ, which the
 	// report records.
 	Reorder int64 `json:"reorder,omitempty"`
-	// Backend selects the verification backend: "bdd" (the default — exact
-	// reachability fixpoints) or "sat" (bounded model checking over the CDCL
-	// solver). The two backends produce the same verdicts but different
-	// report bodies (check details, solver counters); "" and "bdd" alias.
-	Backend string `json:"backend,omitempty"`
 }
 
 // resolve parses/builds the program definition and the core job, and
@@ -174,10 +168,6 @@ func (sp *Spec) resolve() (*program.Def, core.Job, string, error) {
 	if eng.Reorder < 0 {
 		return nil, core.Job{}, "", fmt.Errorf("service: reorder %d must be non-negative", eng.Reorder)
 	}
-	backend, err := verify.ParseBackend(eng.Backend)
-	if err != nil {
-		return nil, core.Job{}, "", fmt.Errorf("service: %w", err)
-	}
 
 	cost := CostSpec{}
 	if sp.Cost != nil {
@@ -216,15 +206,13 @@ func (sp *Spec) resolve() (*program.Def, core.Job, string, error) {
 		Algorithm: core.Algorithm(alg),
 		Options:   opts,
 		Verify:    !sp.NoVerify,
-		Backend:   backend,
 		Witnesses: sp.Witnesses,
 	}
 	// Verification and witness extraction are independent post-passes over
 	// the same result, so they are part of the content address only through
-	// the report shape; include them (and the backend, hashed in canonical
-	// form so "" and "bdd" alias) so runs with different report shapes never
-	// alias in the cache.
-	key := defKey(def, alg+fmt.Sprintf("/verify=%t/witnesses=%d/backend=%s", job.Verify, job.Witnesses, backend), opts)
+	// the report shape; include them so runs with different report shapes
+	// never alias in the cache.
+	key := defKey(def, alg+fmt.Sprintf("/verify=%t/witnesses=%d", job.Verify, job.Witnesses), opts)
 	return def, job, key, nil
 }
 

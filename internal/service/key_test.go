@@ -13,7 +13,7 @@ import (
 func TestSpecKeyGolden(t *testing.T) {
 	const body = `{"case":"ba","n":3,"engine":{"workers":2,"node_budget":1048576},` +
 		`"cost":{"default":2,"actions":{"copy":5},"minimize":true}}`
-	const want = "b2d27b98d9485f123e629878ad0f078ef9d5d2aa06153aba5246cd17ec031bf4"
+	const want = "e906bf3b4b882e3e1c189a874fedd7dca016f076debb5108f0645295901e9d34"
 
 	var sp Spec
 	dec := json.NewDecoder(strings.NewReader(body))

@@ -78,14 +78,6 @@ type metrics struct {
 	fixRounds       int64
 	fixImages       int64
 	fixFrontierPeak int64 // gauge: largest frontier BDD seen in any job
-
-	// CDCL solver work across all jobs verified under the SAT backend.
-	satConflicts    int64
-	satDecisions    int64
-	satPropagations int64
-	satLearned      int64
-	satRestarts     int64
-	satMaxLevel     int64 // gauge: deepest decision level seen in any job
 }
 
 func (m *metrics) add(p *int64, v int64) { atomic.AddInt64(p, v) }
@@ -156,13 +148,6 @@ func (m *metrics) write(w io.Writer, s *Service) {
 	c("ftrepaird_fixpoint_rounds_total", "Reachability fixpoints (one round each) across finished jobs.", m.get(&m.fixRounds))
 	c("ftrepaird_fixpoint_images_total", "Frontier images computed across finished jobs.", m.get(&m.fixImages))
 	g("ftrepaird_fixpoint_frontier_peak_nodes", "Largest frontier BDD (nodes) observed in any job.", m.get(&m.fixFrontierPeak))
-
-	c("ftrepaird_sat_conflicts_total", "CDCL conflicts across jobs verified under the SAT backend.", m.get(&m.satConflicts))
-	c("ftrepaird_sat_decisions_total", "CDCL decisions across jobs verified under the SAT backend.", m.get(&m.satDecisions))
-	c("ftrepaird_sat_propagations_total", "CDCL unit propagations across jobs verified under the SAT backend.", m.get(&m.satPropagations))
-	c("ftrepaird_sat_learned_clauses_total", "Clauses learned across jobs verified under the SAT backend.", m.get(&m.satLearned))
-	c("ftrepaird_sat_restarts_total", "CDCL restarts across jobs verified under the SAT backend.", m.get(&m.satRestarts))
-	g("ftrepaird_sat_max_decision_level", "Deepest CDCL decision level observed in any job.", m.get(&m.satMaxLevel))
 }
 
 // MetricsSnapshot is the JSON shape of GET /metrics.json: the same counters
@@ -210,13 +195,6 @@ type MetricsSnapshot struct {
 	FixRounds       int64 `json:"fix_rounds"`
 	FixImages       int64 `json:"fix_images"`
 	FixFrontierPeak int64 `json:"fix_frontier_peak"`
-
-	SATConflicts    int64 `json:"sat_conflicts"`
-	SATDecisions    int64 `json:"sat_decisions"`
-	SATPropagations int64 `json:"sat_propagations"`
-	SATLearned      int64 `json:"sat_learned_clauses"`
-	SATRestarts     int64 `json:"sat_restarts"`
-	SATMaxLevel     int64 `json:"sat_max_decision_level"`
 }
 
 // Metrics snapshots the service's counters and gauges.
@@ -267,12 +245,5 @@ func (s *Service) Metrics() MetricsSnapshot {
 		FixRounds:       m.get(&m.fixRounds),
 		FixImages:       m.get(&m.fixImages),
 		FixFrontierPeak: m.get(&m.fixFrontierPeak),
-
-		SATConflicts:    m.get(&m.satConflicts),
-		SATDecisions:    m.get(&m.satDecisions),
-		SATPropagations: m.get(&m.satPropagations),
-		SATLearned:      m.get(&m.satLearned),
-		SATRestarts:     m.get(&m.satRestarts),
-		SATMaxLevel:     m.get(&m.satMaxLevel),
 	}
 }

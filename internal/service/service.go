@@ -436,14 +436,6 @@ func (s *Service) run(j *job) {
 		s.metrics.add(&s.metrics.fixRounds, report.FixRounds)
 		s.metrics.add(&s.metrics.fixImages, report.FixImages)
 		s.metrics.maxOf(&s.metrics.fixFrontierPeak, report.FixFrontierPeak)
-		if st := report.SAT; st != nil {
-			s.metrics.add(&s.metrics.satConflicts, st.Conflicts)
-			s.metrics.add(&s.metrics.satDecisions, st.Decisions)
-			s.metrics.add(&s.metrics.satPropagations, st.Propagations)
-			s.metrics.add(&s.metrics.satLearned, st.Learned)
-			s.metrics.add(&s.metrics.satRestarts, st.Restarts)
-			s.metrics.maxOf(&s.metrics.satMaxLevel, int64(st.MaxLevel))
-		}
 		// Publish to the cache BEFORE waking followers and clearing the
 		// in-flight slot, so anyone released by either always finds it.
 		s.cache.Put(j.key, report)

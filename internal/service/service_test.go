@@ -73,7 +73,6 @@ func TestSpecValidation(t *testing.T) {
 		{Case: "ba", N: 3, TimeoutMS: -1},   // negative deadline
 		{Case: "ba", N: 3, Engine: &EngineSpec{Workers: -1}},                         // negative engine width
 		{Case: "ba", N: 3, Engine: &EngineSpec{Workers: MaxJobWorkers + 1}},          // over the cap
-		{Case: "ba", N: 3, Engine: &EngineSpec{Backend: "z3"}},                       // unknown backend
 		{Case: "ba", N: 3, Engine: &EngineSpec{Reorder: -1}},                         // negative reorder cadence
 		{Case: "ba", N: 3, Cost: &CostSpec{Default: -1}},                             // negative default weight
 		{Case: "ba", N: 3, Cost: &CostSpec{Actions: map[string]int64{"a": 0}}},       // zero action weight
@@ -87,8 +86,8 @@ func TestSpecValidation(t *testing.T) {
 }
 
 // TestEngineSpecCanonicalization pins how the engine object enters the
-// content address: the default backend hashes identically whether it is
-// spelled "" or "bdd", and resolve wires the object into the job options.
+// content address: a job with an engine object and one without never alias,
+// and resolve wires the object into the job options.
 func TestEngineSpecCanonicalization(t *testing.T) {
 	key := func(sp Spec) string {
 		t.Helper()
@@ -99,17 +98,14 @@ func TestEngineSpecCanonicalization(t *testing.T) {
 		return k
 	}
 
-	implicit := Spec{Case: "ba", N: 3, Engine: &EngineSpec{
+	engine := Spec{Case: "ba", N: 3, Engine: &EngineSpec{
 		Workers: 2, NodeBudget: 1 << 20, Reorder: 1 << 16,
 	}}
-	explicit := Spec{Case: "ba", N: 3, Engine: &EngineSpec{
-		Workers: 2, NodeBudget: 1 << 20, Reorder: 1 << 16, Backend: "bdd",
-	}}
-	if key(implicit) != key(explicit) {
-		t.Error(`default backend and explicit "bdd" hash differently`)
+	if key(Spec{Case: "ba", N: 3}) == key(engine) {
+		t.Error("engine object not part of the content address")
 	}
 
-	_, job, _, err := explicit.resolve()
+	_, job, _, err := engine.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +152,8 @@ func TestCostSpecCanonicalization(t *testing.T) {
 
 // TestHTTPLegacySpecFieldsRejected pins the structured-only spec contract:
 // each flat alias the engine and cost objects replaced, and the engine
-// object's removed mode, is an unknown field, answered with 400 bad_json
-// whose message names it.
+// object's removed mode and backend, is an unknown field, answered with 400
+// bad_json whose message names it.
 func TestHTTPLegacySpecFieldsRejected(t *testing.T) {
 	base, _, shutdown := bootDaemon(t, Config{Workers: 1, QueueDepth: 4})
 	defer shutdown()
@@ -172,6 +168,8 @@ func TestHTTPLegacySpecFieldsRejected(t *testing.T) {
 		{"minimize_cost", `"minimize_cost":true`},
 		{"mode", `"engine":{"mode":"shared"}`},
 		{"mode", `"engine":{"mode":"partitioned"}`},
+		{"backend", `"engine":{"backend":"sat"}`},
+		{"backend", `"engine":{"backend":"bdd"}`},
 	} {
 		body := `{"case":"ba","n":3,` + tc.member + `}`
 		resp, err := http.Post(base+"/v1/repair", "application/json", strings.NewReader(body))

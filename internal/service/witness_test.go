@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -86,7 +87,9 @@ func TestJobEmbedsCertifiedWitnesses(t *testing.T) {
 }
 
 // TestMetricsJSONEndpoint checks /metrics.json serves the structured
-// snapshot alongside the Prometheus text exposition at /metrics.
+// snapshot alongside the Prometheus text exposition at /metrics, and that
+// neither carries solver counters: the SAT verifier is a test oracle that no
+// job reaches.
 func TestMetricsJSONEndpoint(t *testing.T) {
 	base, s, shutdown := bootDaemon(t, Config{Workers: 1, QueueDepth: 4})
 	defer shutdown()
@@ -110,9 +113,22 @@ func TestMetricsJSONEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("content type %q", ct)
 	}
-	var snap MetricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var snap MetricsSnapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for name := range fields {
+		if strings.HasPrefix(name, "sat_") {
+			t.Errorf("/metrics.json carries solver counter %q", name)
+		}
 	}
 	if snap.Submitted < 1 || snap.Completed < 1 || snap.Workers != 1 {
 		t.Fatalf("snapshot inconsistent: %+v", snap)
@@ -130,6 +146,11 @@ func TestMetricsJSONEndpoint(t *testing.T) {
 	text, _ := io.ReadAll(resp2.Body)
 	if !containsLine(string(text), "ftrepaird_phase_witness_ns_total") {
 		t.Fatalf("Prometheus exposition misses witness counter:\n%s", text)
+	}
+	for _, line := range splitLines(string(text)) {
+		if strings.HasPrefix(line, "ftrepaird_sat_") {
+			t.Errorf("Prometheus exposition carries solver series %q", line)
+		}
 	}
 }
 

@@ -23,7 +23,10 @@ import (
 	"repro/internal/witness"
 )
 
-// Backend selects the symbolic engine behind the reachability checks.
+// Backend selects the symbolic engine behind the reachability checks. No
+// user surface selects it: BackendBDD is the verifier every caller reaches,
+// and BackendSAT is the independent oracle the differential gate
+// (TestBackendsAgree in internal/core) compares it against.
 type Backend string
 
 // The verification backends.
@@ -44,6 +47,7 @@ const (
 )
 
 // ParseBackend validates a backend name; the empty string means BackendBDD.
+// It remains for bench/trace.go, which mirrors core.Run's verify call.
 func ParseBackend(s string) (Backend, error) {
 	switch Backend(s) {
 	case "", BackendBDD:
@@ -76,7 +80,8 @@ type Check struct {
 type Report struct {
 	Checks []Check
 	// SAT carries the solver's work counters summed over every bounded
-	// model-checking query of the run. Nil under the BDD backend.
+	// model-checking query of the run. Nil under the BDD backend. The
+	// differential gate reads it; it remains exported for bench/trace.go.
 	SAT *sat.Stats `json:"sat,omitempty"`
 }
 
@@ -175,7 +180,8 @@ func ResultWitnessEngine(ctx context.Context, e *program.Engine, res *repair.Res
 // ResultWitnessEngine with the reachability checks (and, with witnesses, the
 // safety and deadlock trace search) routed through the chosen engine. Both
 // backends emit the same check names with the same pass/fail meaning, which
-// is what the differential gate compares.
+// is what the differential gate compares. It is the only way into the SAT
+// branch; core.Run calls it with the BDD backend.
 func ResultBackendEngine(ctx context.Context, e *program.Engine, res *repair.Result, backend Backend, withWitness bool) (*Report, error) {
 	return resultEngine(ctx, e, res, backend, withWitness)
 }

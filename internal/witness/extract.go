@@ -194,12 +194,6 @@ func (x *Extractor) tracePath(ctx context.Context, sc *bdd.Scope, init bdd.Node,
 	return x.walkBack(ctx, layers, parts, k, state)
 }
 
-// transitionIn reports whether the concrete transition (from, to) belongs to
-// rel, by pointwise evaluation (no symbolic set operations).
-func (x *Extractor) transitionIn(rel bdd.Node, from, to map[string]int) bool {
-	return evalTrans(x.c.Space, rel, from, to)
-}
-
 // Safety extracts a safety-violation witness: a computation starting in init
 // that, interleaving trans steps with fault steps, reaches a bad state or
 // executes a bad transition. It returns nil when no violation is reachable
@@ -437,17 +431,14 @@ func (x *Extractor) extendRanks(rt *rankTable, progParts []part, span bdd.Node) 
 	return true
 }
 
-// Recovery extracts a recovery demonstration for a repaired program: a
+// recovery extracts a recovery demonstration for a repaired program: a
 // computation that starts inside inv, leaves it via the fault action with
 // the given index (invariant closure guarantees only faults can leave),
 // optionally drifts further on subsequent faults, and then converges back to
 // inv via program steps of trans — greedily following the breadth-first rank
 // toward the invariant, so convergence is structural, not lucky. It returns
-// nil when fault faultIndex cannot leave the invariant.
-func (x *Extractor) Recovery(ctx context.Context, trans, inv, span bdd.Node, faultIndex int) (*Trace, error) {
-	return x.recovery(ctx, trans, inv, span, faultIndex, nil)
-}
-
+// nil when fault faultIndex cannot leave the invariant. rt is the rank table
+// RecoveryDemos shares across fault indices; recovery grows it as needed.
 func (x *Extractor) recovery(ctx context.Context, trans, inv, span bdd.Node, faultIndex int, rt *rankTable) (*Trace, error) {
 	c := x.c
 	s := c.Space
@@ -497,9 +488,6 @@ func (x *Extractor) recovery(ctx context.Context, trans, inv, span bdd.Node, fau
 	// maxDemoRank layers exist — and, past the cap, only until the excursion
 	// has at least one ranked state (guaranteed to terminate for a verified
 	// repair: every span state has finite rank).
-	if rt == nil {
-		rt = &rankTable{sc: sc}
-	}
 	if rt.ranks == nil {
 		rt.ranks, rt.ranked = []bdd.Node{rt.sc.Keep(inv)}, rt.sc.Keep(inv)
 	}

@@ -76,8 +76,6 @@ type (
 	Stats = repair.Stats
 	// Report is the verifier's outcome.
 	Report = verify.Report
-	// Backend selects the verification engine (see EngineConfig.Backend).
-	Backend = verify.Backend
 	// Trace is a concrete replayable witness: a recovery demonstration in
 	// Result.Witnesses (see WithWitnesses) or a failure trace attached to a
 	// verifier check.
@@ -98,16 +96,6 @@ var (
 	Copy = program.Copy
 	// Choose returns the nondeterministic update v := one of the given values.
 	Choose = program.Choose
-)
-
-// The verification backends (see EngineConfig.Backend).
-const (
-	// BackendBDD verifies with exact reachability fixpoints on the BDD
-	// engine. The default.
-	BackendBDD = verify.BackendBDD
-	// BackendSAT verifies the reachability-shaped checks by bounded model
-	// checking over the built-in CDCL solver.
-	BackendSAT = verify.BackendSAT
 )
 
 // Repair errors, re-exported.
