@@ -217,8 +217,8 @@ func New() *Manager {
 	m.nodes[False] = node{level: terminalLevel, low: False, high: False}
 	m.nodes[True] = node{level: terminalLevel, low: True, high: True}
 	// The unique table starts small; the load-factor check in mk grows it
-	// with the live-node count (and the collector keeps it sized to the
-	// survivors).
+	// with the live-node count. It never shrinks: the collector rebuilds it
+	// in place over the survivors at the same capacity.
 	m.growUnique(1 << 14)
 	m.stats.PeakLive = 2
 	m.gcThreshold = defaultGCThreshold

@@ -242,24 +242,20 @@ func certifyAcyclic(c *Compiled, parts []bdd.Node, region bdd.Node) certVerdict 
 // region × region, computed once up front: the greatest fixpoint peels the
 // set one layer per iteration (a chain of n cells takes ~n iterations), so a
 // single static relation whose relational-product subresults stay cached
-// across iterations beats re-scanning every partition per iteration.
+// across iterations beats re-scanning every partition per iteration. The
+// restriction is one conjunction on the union, which distributes to the
+// union of the restricted partitions.
 func cyclicCorePeel(c *Compiled, parts []bdd.Node, region bdd.Node) bdd.Node {
 	m := c.Space.M
 	s := c.Space
 	sc := m.Protect()
 	defer sc.Release()
 	sc.Keep(region)
-	for _, p := range parts {
-		sc.Keep(p)
-	}
-	rel := sc.Slot(bdd.False)
 	inside := sc.Keep(m.And(region, s.Prime(region)))
-	for _, p := range parts {
-		rel.Set(m.Or(rel.Node(), m.And(p, inside)))
-	}
+	rel := sc.Keep(m.And(m.OrN(parts...), inside))
 	z := sc.Slot(region)
 	for {
-		next := m.And(z.Node(), m.AndExists(rel.Node(), s.Prime(z.Node()), s.NextCube()))
+		next := m.And(z.Node(), m.AndExists(rel, s.Prime(z.Node()), s.NextCube()))
 		if next == z.Node() {
 			return z.Node()
 		}

@@ -139,6 +139,7 @@ type CompiledProc struct {
 	// granularity WeightADD prices transitions at (Trans is their union).
 	Acts []CompiledAction
 
+	allowed    bdd.Node // WriteOK ∧ ValidTrans: every transition p could own
 	unreadCube bdd.Node // cube of the unreadable variables' cur+next bits
 	space      *symbolic.Space
 }
@@ -166,12 +167,6 @@ type Compiled struct {
 	// FaultParts holds each fault action's transitions separately, for
 	// disjunctively-partitioned image computation.
 	FaultParts []bdd.Node
-	// AnyWrite is the union of the processes' write-legal transition
-	// universes: transitions at least one process could perform without
-	// violating its write restriction. Write restrictions are cheap to
-	// enforce (a conjunction per process), so Step 1 of lazy repair keeps
-	// them while ignoring the expensive read restrictions.
-	AnyWrite bdd.Node
 
 	Invariant bdd.Node // S
 	BadStates bdd.Node // Sf_bs
@@ -203,7 +198,7 @@ func (d *Def) Compile() (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Compiled{Def: d, Space: space, Trans: bdd.False, Fault: bdd.False, AnyWrite: bdd.False}
+	c := &Compiled{Def: d, Space: space, Trans: bdd.False, Fault: bdd.False}
 	m := space.M
 
 	// Compilation accumulates predicates across per-process compiles that
@@ -213,7 +208,6 @@ func (d *Def) Compile() (*Compiled, error) {
 	sc := m.Protect()
 	defer sc.Release()
 	trans := sc.Slot(bdd.False)
-	anyWrite := sc.Slot(bdd.False)
 	fault := sc.Slot(bdd.False)
 
 	for _, p := range d.Processes {
@@ -223,10 +217,8 @@ func (d *Def) Compile() (*Compiled, error) {
 		}
 		c.Procs = append(c.Procs, cp)
 		trans.Set(m.Or(trans.Node(), cp.Trans))
-		anyWrite.Set(m.Or(anyWrite.Node(), m.And(cp.WriteOK, space.ValidTrans())))
 	}
 	c.Trans = m.Ref(trans.Node())
-	c.AnyWrite = m.Ref(anyWrite.Node())
 	c.depAcyclic = dependencyAcyclic(c.Procs)
 	for i, fa := range d.Faults {
 		tr, err := compileAction(space, fa, nil)
@@ -340,6 +332,7 @@ func compileProcess(s *symbolic.Space, p *Process) (*CompiledProc, error) {
 	// CompiledProc fields share the manager's lifetime; root them for good.
 	cp.WriteOK = m.Ref(writeOK.Node())
 	cp.SameUnread = m.Ref(sameUnread.Node())
+	cp.allowed = m.Ref(m.And(cp.WriteOK, s.ValidTrans()))
 	cp.unreadCube = m.Ref(m.Cube(unreadLevels))
 
 	trans := sc.Slot(bdd.False)
@@ -489,14 +482,19 @@ func (p *CompiledProc) Group(delta bdd.Node) bdd.Node {
 // MaxRealizableSubset returns the largest subset of delta that process p can
 // realize: transitions that respect the write restriction and whose entire
 // group is contained in delta. This is the closed form of the Algorithm-2
-// inner loop (see DESIGN.md §4).
+// inner loop (DESIGN.md §4): with allowed = WriteOK ∧ ValidTrans and
+// cand = delta ∧ allowed, the result is cand − ∃unread.(allowed − cand).
+// Proof: a candidate survives iff no allowed member of its group is missing
+// from cand, so the result is cand − Group(allowed − cand), where Group(x) =
+// (∃unread. x ∧ SameUnread) ∧ SameUnread ∧ ValidTrans. W ⊆ R gives
+// WriteOK ⊆ SameUnread, so allowed − cand ⊆ SameUnread and the inner
+// conjunction changes nothing; cand ⊆ SameUnread ∧ ValidTrans, so the outer
+// one removes nothing more from cand. Same set, hence the same node.
 func (p *CompiledProc) MaxRealizableSubset(delta bdd.Node) bdd.Node {
 	m := p.space.M
-	candidate := m.AndN(delta, p.WriteOK, p.space.ValidTrans())
-	// A candidate transition is kept unless some member of its group is
-	// missing from the candidate set.
-	missing := m.And(m.Not(candidate), m.AndN(p.SameUnread, p.WriteOK, p.space.ValidTrans()))
-	return m.Diff(candidate, p.Group(missing))
+	cand := m.Ref(m.And(delta, p.allowed))
+	defer m.Deref(cand)
+	return m.Diff(cand, m.Exists(m.Diff(p.allowed, cand), p.unreadCube))
 }
 
 // Realizable reports whether delta is realizable by process p: write-legal

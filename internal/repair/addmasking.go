@@ -101,9 +101,9 @@ func AddMaskingEngine(ctx context.Context, e *program.Engine, invariant, badTran
 		// invariant only original transitions that keep the invariant
 		// closed; outside, any (possibly new) transition that stays in the
 		// fault-span and is not prohibited. Write restrictions are kept
-		// even in Step 1 (c.AnyWrite) — they cost one conjunction; the
-		// complexity the paper defers to Step 2 comes from the read
-		// restrictions (grouping).
+		// even in Step 1 (each process's p.WriteOK) — they cost one
+		// conjunction per process; the complexity the paper defers to
+		// Step 2 comes from the read restrictions (grouping).
 		availInside.Set(bdd.False)
 		availOutside.Set(bdd.False)
 		availParts := make([]bdd.Node, 0, 2*len(c.Procs))
@@ -170,7 +170,7 @@ func AddMaskingEngine(ctx context.Context, e *program.Engine, invariant, badTran
 		for i := 1; i < len(availParts); i += 2 {
 			outsideParts = append(outsideParts, availParts[i])
 		}
-		r, ranked := LayeredRecovery(c, s1.Node(), t1.Node(), outsideParts)
+		r, ranked := LayeredRecovery(c, s1.Node(), t1.Node(), availOutside.Node(), outsideParts)
 		rec.Set(r)
 		if ranked != t1.Node() {
 			t1.Set(ranked)

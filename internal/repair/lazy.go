@@ -121,29 +121,11 @@ func LazyEngine(ctx context.Context, eng *program.Engine, opts Options) (*Result
 				return nil, err
 			}
 			isc := m.Protect()
-			ranked := isc.Slot(mask.Invariant)
-			remaining := isc.Slot(region)
-			bad := isc.Slot(bdd.False)
-			for remaining.Node() != bdd.False {
-				newly := isc.Keep(srcInto(c, parts, remaining.Node(), ranked.Node()))
-				if newly == bdd.False {
-					break
-				}
-				notRanked := isc.Keep(m.Not(s.Prime(ranked.Node())))
-				for _, part := range parts {
-					bad.Set(m.Or(bad.Node(), m.AndN(part, newly, notRanked)))
-				}
-				ranked.Set(m.Or(ranked.Node(), newly))
-				remaining.Set(m.Diff(remaining.Node(), newly))
-			}
-			// Unranked states can never reach the invariant: their edges
-			// are useless; removing them deadlocks the states, which the
-			// feedback below then makes unreachable.
-			for _, part := range parts {
-				bad.Set(m.Or(bad.Node(), m.And(part, remaining.Node())))
-			}
+			bad, unranked := rankViolations(c, parts, realized, mask.Invariant, region)
+			isc.Keep(bad)
+			isc.Keep(unranked)
 			core := isc.Keep(program.CyclicCore(c, parts, region))
-			toRemove := isc.Keep(m.Or(m.AndN(bad.Node(), core, s.Prime(core)), m.And(bad.Node(), remaining.Node())))
+			toRemove := isc.Keep(m.Or(m.AndN(bad, core, s.Prime(core)), m.And(bad, unranked)))
 			// Cost-aware refinement: drop only the cheapest weight class per
 			// pass. Ranks are recomputed against the shrunken relation each
 			// pass, so expensive rank-violating transitions often become
@@ -281,4 +263,34 @@ func LazyEngine(ctx context.Context, eng *program.Engine, opts Options) (*Result
 		}
 	}
 	return nil, ErrNoConvergence
+}
+
+// rankViolations ranks region by breadth-first distance to invariant under
+// realized, the union of parts, and returns bad (each edge that does not
+// strictly decrease the rank, and each edge from an unranked state) with the
+// unranked states. Each layer conjoins realized once instead of every part:
+// by distributivity the same set, hence the same node.
+func rankViolations(c *program.Compiled, parts []bdd.Node, realized, invariant, region bdd.Node) (bad, unranked bdd.Node) {
+	m := c.Space.M
+	s := c.Space
+	sc := m.Protect()
+	defer sc.Release()
+	sc.Keep(realized)
+	ranked := sc.Slot(invariant)
+	remaining := sc.Slot(region)
+	badS := sc.Slot(bdd.False)
+	for remaining.Node() != bdd.False {
+		newly := sc.Keep(srcInto(c, parts, remaining.Node(), ranked.Node()))
+		if newly == bdd.False {
+			break
+		}
+		badS.Set(m.Or(badS.Node(), m.AndN(realized, newly, m.Not(s.Prime(ranked.Node())))))
+		ranked.Set(m.Or(ranked.Node(), newly))
+		remaining.Set(m.Diff(remaining.Node(), newly))
+	}
+	// Unranked states can never reach the invariant: their edges are
+	// useless; removing them deadlocks the states, which LazyEngine's
+	// feedback then makes unreachable.
+	badS.Set(m.Or(badS.Node(), m.And(realized, remaining.Node())))
+	return badS.Node(), remaining.Node()
 }

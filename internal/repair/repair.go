@@ -315,15 +315,21 @@ func ComputeMsMtEngine(ctx context.Context, e *program.Engine, badTrans bdd.Node
 //     breadth-first rank toward the already-safe states, which breaks every
 //     cycle.
 //
+// avail must be the union of availParts. The parts go to CyclicCore, whose
+// certificate needs one relation per process; the acyclic seed and each rank
+// layer are one conjunction on avail, which by distributivity (avail ∧ X =
+// ⋃_p (p ∧ X)) is the same set, hence the same node, as conjoining each part.
+//
 // It returns the transitions and the set of states with guaranteed recovery;
 // the caller prunes unranked states from the fault-span and re-runs its
 // fixpoint.
-func LayeredRecovery(c *program.Compiled, invariant, span bdd.Node, availParts []bdd.Node) (rec, ranked bdd.Node) {
+func LayeredRecovery(c *program.Compiled, invariant, span, avail bdd.Node, availParts []bdd.Node) (rec, ranked bdd.Node) {
 	m := c.Space.M
 	s := c.Space
 	sc := m.Protect()
 	defer sc.Release()
 	sc.Keep(invariant)
+	sc.Keep(avail)
 	for _, p := range availParts {
 		sc.Keep(p)
 	}
@@ -333,24 +339,17 @@ func LayeredRecovery(c *program.Compiled, invariant, span bdd.Node, availParts [
 	z := sc.Keep(program.CyclicCore(c, availParts, outside))
 
 	acyclic := sc.Keep(m.Diff(outside, z))
-	recS := sc.Slot(bdd.False)
-	for _, part := range availParts {
-		recS.Set(m.Or(recS.Node(), m.And(part, acyclic))) // keep everything from acyclic states
-	}
+	recS := sc.Slot(m.And(avail, acyclic)) // keep everything from acyclic states
 	rankedS := sc.Slot(m.Or(invariant, acyclic))
 	remaining := sc.Slot(z)
 	stepS := sc.Slot(bdd.False)
 	for remaining.Node() != bdd.False {
-		primed := sc.Keep(s.Prime(rankedS.Node()))
-		stepS.Set(bdd.False)
-		for _, part := range availParts {
-			stepS.Set(m.Or(stepS.Node(), m.AndN(part, remaining.Node(), primed)))
-		}
-		newly := src(c, stepS.Node())
+		step := stepS.Set(m.AndN(avail, remaining.Node(), s.Prime(rankedS.Node())))
+		newly := src(c, step)
 		if newly == bdd.False {
 			break // leftover states cannot recover; caller prunes them
 		}
-		recS.Set(m.Or(recS.Node(), stepS.Node()))
+		recS.Set(m.Or(recS.Node(), step))
 		rankedS.Set(m.Or(rankedS.Node(), newly))
 		remaining.Set(m.Diff(remaining.Node(), newly))
 	}

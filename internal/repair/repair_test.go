@@ -275,7 +275,7 @@ func TestLayeredRecoveryIsAcyclic(t *testing.T) {
 		}
 	}
 	span := s.ValidCur()
-	rec, ranked := LayeredRecovery(c, c.Invariant, span, []bdd.Node{avail})
+	rec, ranked := LayeredRecovery(c, c.Invariant, span, avail, []bdd.Node{avail})
 	if ranked != span {
 		t.Fatal("every state should be ranked")
 	}

@@ -396,6 +396,11 @@ func (s *Service) worker() {
 	}
 }
 
+// synthesize is the synthesis call a worker makes for each job. Tests
+// replace it to hold a worker busy for exactly as long as they need, however
+// fast the instance repairs.
+var synthesize = core.Run
+
 // run executes one synthesis on the calling worker.
 func (s *Service) run(j *job) {
 	if err := j.ctx.Err(); err != nil {
@@ -414,7 +419,7 @@ func (s *Service) run(j *job) {
 	s.metrics.add(&s.metrics.running, 1)
 	defer s.metrics.add(&s.metrics.running, -1)
 
-	out, err := core.Run(j.ctx, j.coreJob)
+	out, err := synthesize(j.ctx, j.coreJob)
 	switch {
 	case err != nil && j.ctx.Err() != nil:
 		s.finishCancelled(j, context.Cause(j.ctx))

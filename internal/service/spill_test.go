@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -277,7 +278,15 @@ func TestHTTPQuotaAndRetryAfter(t *testing.T) {
 // guidance (Retry-After header + queue_depth in the body).
 func TestHTTPQueueFullRetryAfter(t *testing.T) {
 	// One slow job on the lone worker plus one queued job saturates the
-	// depth-1 queue.
+	// depth-1 queue. The worker's synthesis blocks until its job is
+	// cancelled, so the first job holds the worker however fast its
+	// instance would repair. The seam is set before the daemon starts its
+	// worker and restored after the worker has exited.
+	synthesize = func(ctx context.Context, _ core.Job) (*core.Outcome, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	defer func() { synthesize = core.Run }()
 	base, svc, shutdown := bootDaemon(t, Config{Workers: 1, QueueDepth: 1})
 	defer shutdown()
 

@@ -366,7 +366,7 @@ func (sc *syncCompiled) addMasking(invariant, badTrans bdd.Node, opts repair.Opt
 			t1S.Set(t2)
 			continue
 		}
-		rec, ranked := repair.LayeredRecovery(c, s1, t1, []bdd.Node{availOutside})
+		rec, ranked := repair.LayeredRecovery(c, s1, t1, availOutside, []bdd.Node{availOutside})
 		recS.Set(rec)
 		if ranked != t1 {
 			t1S.Set(ranked)
