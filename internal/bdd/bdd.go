@@ -202,7 +202,12 @@ const (
 	cacheMaxSlots = 1 << 20
 	cacheLoad     = 8
 
-	initialNodeCap = 1 << 20
+	// The node table starts with room for initialNodeCap nodes (6 MB) and
+	// grows by append. Go zeroes the whole capacity whenever it hands a
+	// manager memory a collected one used, so every job pays for what it
+	// reserves, not for what it fills; at 2^20 nodes (12 MB) a chain job that
+	// fills a tenth of it paid the rest in zeroing and page faults.
+	initialNodeCap = 1 << 19
 )
 
 // New creates an empty Manager with no variables. Call NewVar (or NewVars) to

@@ -203,18 +203,7 @@ type andExpr []Expr
 func And(es ...Expr) Expr { return andExpr(es) }
 
 func (e andExpr) Compile(s *symbolic.Space) (bdd.Node, error) {
-	// The accumulator survives arbitrarily large sub-compiles, so it must be
-	// rooted across them.
-	acc := s.M.NewRooted(bdd.True)
-	defer acc.Release()
-	for _, sub := range e {
-		n, err := sub.Compile(s)
-		if err != nil {
-			return bdd.False, err
-		}
-		acc.Set(s.M.And(acc.Node(), n))
-	}
-	return acc.Node(), nil
+	return foldRight(s, e, s.M.And, bdd.True)
 }
 
 func (e andExpr) String() string { return joinExprs([]Expr(e), " ∧ ", "true") }
@@ -232,16 +221,7 @@ type orExpr []Expr
 func Or(es ...Expr) Expr { return orExpr(es) }
 
 func (e orExpr) Compile(s *symbolic.Space) (bdd.Node, error) {
-	acc := s.M.NewRooted(bdd.False)
-	defer acc.Release()
-	for _, sub := range e {
-		n, err := sub.Compile(s)
-		if err != nil {
-			return bdd.False, err
-		}
-		acc.Set(s.M.Or(acc.Node(), n))
-	}
-	return acc.Node(), nil
+	return foldRight(s, e, s.M.Or, bdd.False)
 }
 
 func (e orExpr) String() string { return joinExprs([]Expr(e), " ∨ ", "false") }
@@ -291,6 +271,32 @@ func (e impliesExpr) Compile(s *symbolic.Space) (bdd.Node, error) {
 func (e impliesExpr) String() string { return "(" + e.a.String() + " ⇒ " + e.b.String() + ")" }
 
 func (e impliesExpr) Vars(dst []string) []string { return e.b.Vars(e.a.Vars(dst)) }
+
+// foldRight compiles every operand, then combines them from the last
+// upward with op, starting from unit. Operands are written the way models
+// declare their variables, so the last one usually sits deepest in the
+// order, and combining it first stacks each earlier operand's nodes on top
+// of the accumulator; the left fold re-copies the accumulator at every step
+// and leaves those copies behind (DESIGN.md §14, "Building predicates").
+func foldRight(s *symbolic.Space, es []Expr, op func(f, g bdd.Node) bdd.Node, unit bdd.Node) (bdd.Node, error) {
+	// Each compiled operand waits for the later ones to compile, which may
+	// allocate heavily, so it is rooted until the fold.
+	sc := s.M.Protect()
+	defer sc.Release()
+	ns := make([]bdd.Node, len(es))
+	for i, sub := range es {
+		n, err := sub.Compile(s)
+		if err != nil {
+			return bdd.False, err
+		}
+		ns[i] = sc.Keep(n)
+	}
+	acc := unit
+	for i := len(ns) - 1; i >= 0; i-- {
+		acc = op(ns[i], acc)
+	}
+	return acc, nil
+}
 
 func joinExprs(es []Expr, sep, empty string) string {
 	if len(es) == 0 {

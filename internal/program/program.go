@@ -314,27 +314,21 @@ func compileProcess(s *symbolic.Space, p *Process) (*CompiledProc, error) {
 	}
 
 	m := s.M
-	sc := m.Protect()
-	defer sc.Release()
-	writeOK := sc.Slot(bdd.True)
-	sameUnread := sc.Slot(bdd.True)
 	var unreadLevels []int
 	for _, v := range s.Vars {
-		if !cp.Write[v.Name] {
-			writeOK.Set(m.And(writeOK.Node(), v.Unchanged()))
-		}
 		if !cp.Read[v.Name] {
-			sameUnread.Set(m.And(sameUnread.Node(), v.Unchanged()))
 			unreadLevels = append(unreadLevels, v.CurLevels()...)
 			unreadLevels = append(unreadLevels, v.NextLevels()...)
 		}
 	}
 	// CompiledProc fields share the manager's lifetime; root them for good.
-	cp.WriteOK = m.Ref(writeOK.Node())
-	cp.SameUnread = m.Ref(sameUnread.Node())
+	cp.WriteOK = m.Ref(s.AndEach(unchangedOutside(cp.Write)))
+	cp.SameUnread = m.Ref(s.AndEach(unchangedOutside(cp.Read)))
 	cp.allowed = m.Ref(m.And(cp.WriteOK, s.ValidTrans()))
 	cp.unreadCube = m.Ref(m.Cube(unreadLevels))
 
+	sc := m.Protect()
+	defer sc.Release()
 	trans := sc.Slot(bdd.False)
 	for i, a := range p.Actions {
 		tr, err := compileAction(s, a, cp)
@@ -412,18 +406,17 @@ func compileAction(s *symbolic.Space, a Action, cp *CompiledProc) (bdd.Node, err
 		}
 	}
 
-	relSlot := sc.Slot(bdd.True)
-	rel := bdd.True
-	assigned := make(map[string]bool, len(a.Updates))
+	// Each update's relation waits for the later ones to compile; the fold
+	// below conjoins it in its variable's place in the order.
+	assigned := make(map[string]bdd.Node, len(a.Updates))
 	for _, u := range a.Updates {
 		v := s.VarByName(u.Var)
 		if v == nil {
 			return bdd.False, fmt.Errorf("update targets unknown variable %q", u.Var)
 		}
-		if assigned[u.Var] {
+		if _, dup := assigned[u.Var]; dup {
 			return bdd.False, fmt.Errorf("variable %q assigned twice", u.Var)
 		}
-		assigned[u.Var] = true
 		if cp != nil && !cp.Write[u.Var] {
 			return bdd.False, fmt.Errorf("update writes %q outside write set", u.Var)
 		}
@@ -432,7 +425,7 @@ func compileAction(s *symbolic.Space, a Action, cp *CompiledProc) (bdd.Node, err
 			if u.Val < 0 || u.Val >= v.Domain {
 				return bdd.False, fmt.Errorf("value %d outside domain of %q", u.Val, u.Var)
 			}
-			rel = relSlot.Set(m.And(rel, v.NextEqConst(u.Val)))
+			assigned[u.Var] = sc.Keep(v.NextEqConst(u.Val))
 		case CopyVar:
 			w := s.VarByName(u.From)
 			if w == nil {
@@ -441,7 +434,7 @@ func compileAction(s *symbolic.Space, a Action, cp *CompiledProc) (bdd.Node, err
 			if cp != nil && !cp.Read[u.From] {
 				return bdd.False, fmt.Errorf("update reads %q outside read set", u.From)
 			}
-			rel = relSlot.Set(m.And(rel, v.NextEq(w)))
+			assigned[u.Var] = sc.Keep(v.NextEq(w))
 		case ChooseConst:
 			if len(u.Among) == 0 {
 				return bdd.False, fmt.Errorf("empty choice for %q", u.Var)
@@ -453,19 +446,34 @@ func compileAction(s *symbolic.Space, a Action, cp *CompiledProc) (bdd.Node, err
 				}
 				choice = m.Or(choice, v.NextEqConst(val))
 			}
-			rel = relSlot.Set(m.And(rel, choice))
+			assigned[u.Var] = sc.Keep(choice)
 		default:
 			return bdd.False, fmt.Errorf("unknown update kind %d", u.Kind)
 		}
 	}
 
 	// Frame: variables without an update stay unchanged.
-	for _, v := range s.Vars {
-		if !assigned[v.Name] {
-			rel = relSlot.Set(m.And(rel, v.Unchanged()))
+	rel := s.AndEach(func(v *symbolic.Var) bdd.Node {
+		if u, ok := assigned[v.Name]; ok {
+			return u
 		}
+		return v.Unchanged()
+	})
+	// The small guard meets ValidTrans before the relation: on the case
+	// studies this order allocates the fewest intermediate nodes.
+	return m.AndN(guard, s.ValidTrans(), rel), nil
+}
+
+// unchangedOutside is the per-variable predicate of a frame for
+// Space.AndEach: v′ = v for every variable outside set, no constraint on
+// the variables in it.
+func unchangedOutside(set map[string]bool) func(*symbolic.Var) bdd.Node {
+	return func(v *symbolic.Var) bdd.Node {
+		if set[v.Name] {
+			return bdd.True
+		}
+		return v.Unchanged()
 	}
-	return m.AndN(guard, rel, s.ValidTrans()), nil
 }
 
 // Group computes the read-restriction group closure group_j(δ): the union of

@@ -97,31 +97,13 @@ func AddMaskingEngine(ctx context.Context, e *program.Engine, invariant, badTran
 			return nil, err
 		}
 
-		// All transitions the fault-tolerant program may use: inside the
-		// invariant only original transitions that keep the invariant
-		// closed; outside, any (possibly new) transition that stays in the
-		// fault-span and is not prohibited. Write restrictions are kept
-		// even in Step 1 (each process's p.WriteOK) — they cost one
-		// conjunction per process; the complexity the paper defers to
-		// Step 2 comes from the read restrictions (grouping).
+		availParts := recoveryParts(c, partSlots, s1.Node(), t1.Node(), notMT)
 		availInside.Set(bdd.False)
 		availOutside.Set(bdd.False)
-		availParts := make([]bdd.Node, 0, 2*len(c.Procs))
-		insideCtx := m.AndN(s1.Node(), s.Prime(s1.Node()), notMT)
-		m.Ref(insideCtx) // survives the outsideCtx chain and the per-proc loop
-		// Self-loops make no recovery progress and would put every state in
-		// the cyclic core, so they are never offered as recovery.
-		outsideCtx := m.AndN(t1.Node(), s.Prime(t1.Node()), m.Not(s1.Node()), notMT, m.Not(s.Identity()), s.ValidTrans())
-		m.Ref(outsideCtx)
-		for i, p := range c.Procs {
-			in := partSlots[2*i].Set(m.And(p.Trans, insideCtx))
-			out := partSlots[2*i+1].Set(m.And(p.WriteOK, outsideCtx))
-			availInside.Set(m.Or(availInside.Node(), in))
-			availOutside.Set(m.Or(availOutside.Node(), out))
-			availParts = append(availParts, in, out)
+		for i := 0; i < len(availParts); i += 2 {
+			availInside.Set(m.Or(availInside.Node(), availParts[i]))
+			availOutside.Set(m.Or(availOutside.Node(), availParts[i+1]))
 		}
-		m.Deref(insideCtx)
-		m.Deref(outsideCtx)
 
 		// Remove fault-span states from which recovery to the invariant is
 		// impossible.
@@ -188,4 +170,32 @@ func AddMaskingEngine(ctx context.Context, e *program.Engine, invariant, badTran
 		FaultSpan:  m.Ref(t1.Node()),
 		Iterations: iterations,
 	}, nil
+}
+
+// recoveryParts builds one shrink iteration's relations into slots, two per
+// process, and returns them in that order: inside the invariant, the
+// process's original transitions that keep it closed, p.Trans ∧ S1 ∧ S1′ ∧
+// ¬mt; outside it, any write-legal transition that stays in the fault-span
+// and is not prohibited, p.WriteOK ∧ T1 ∧ T1′ ∧ ¬S1 ∧ ¬mt ∧ ¬id ∧
+// ValidTrans. Write restrictions cost one conjunction per process here; the
+// complexity the paper defers to Step 2 is the read restrictions' grouping.
+// Self-loops (id) make no recovery progress and would put every state in
+// the cyclic core. Each part is cut from its process's own relation: the
+// global contexts are only ever read one process at a time, and nothing
+// collects a product no one keeps (DESIGN.md §14, "Building predicates").
+func recoveryParts(c *program.Compiled, slots []*bdd.Rooted, s1, t1, notMT bdd.Node) []bdd.Node {
+	s := c.Space
+	m := s.M
+	sc := m.Protect()
+	defer sc.Release()
+	s1p := sc.Keep(s.Prime(s1))
+	t1p := sc.Keep(s.Prime(t1))
+	notS1 := sc.Keep(m.Not(s1))
+	notID := sc.Keep(m.Not(s.Identity()))
+	parts := make([]bdd.Node, 2*len(c.Procs))
+	for i, p := range c.Procs {
+		parts[2*i] = slots[2*i].Set(m.AndN(p.Trans, s1, s1p, notMT))
+		parts[2*i+1] = slots[2*i+1].Set(m.AndN(p.WriteOK, t1, t1p, notS1, notMT, notID, s.ValidTrans()))
+	}
+	return parts
 }

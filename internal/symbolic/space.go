@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/bdd"
 )
@@ -114,12 +115,6 @@ func (s *Space) finish() {
 	for i := range mapping {
 		mapping[i] = i
 	}
-	// The accumulators below are carried across one BDD-op chain per
-	// variable; slots keep them rooted through collections, and the final
-	// values are rooted permanently — they live as long as the Space.
-	sc := m.Protect()
-	defer sc.Release()
-	vc, vn, id := sc.Slot(bdd.True), sc.Slot(bdd.True), sc.Slot(bdd.True)
 	for _, v := range s.Vars {
 		curLevels = append(curLevels, v.curLevels...)
 		nextLevels = append(nextLevels, v.nextLevels...)
@@ -127,17 +122,47 @@ func (s *Space) finish() {
 			mapping[v.curLevels[b]] = v.nextLevels[b]
 			mapping[v.nextLevels[b]] = v.curLevels[b]
 		}
-		vc.Set(m.And(vc.Node(), v.validRange(v.curLevels)))
-		vn.Set(m.And(vn.Node(), v.validRange(v.nextLevels)))
-		id.Set(m.And(id.Node(), v.Unchanged()))
 	}
-	s.validCur = m.Ref(vc.Node())
-	s.validNext = m.Ref(vn.Node())
+	// The Space's predicates live as long as it does; root them for good.
+	s.validCur = m.Ref(s.AndEach(func(v *Var) bdd.Node { return v.validRange(v.curLevels) }))
+	s.validNext = m.Ref(s.AndEach(func(v *Var) bdd.Node { return v.validRange(v.nextLevels) }))
 	s.validTrans = m.Ref(m.And(s.validCur, s.validNext))
-	s.identity = m.Ref(id.Node())
+	s.identity = m.Ref(s.AndEach((*Var).Unchanged))
 	s.curCube = m.Ref(m.Cube(curLevels))
 	s.nextCube = m.Ref(m.Cube(nextLevels))
 	s.swap = m.NewPermutation(mapping)
+}
+
+// AndEach returns the conjunction of pred(v) over the space's variables,
+// folded from the variable deepest in the current order upward; pred
+// returns True for a variable the conjunction skips. Each step conjoins a
+// predicate over variables above everything the accumulator reads, which
+// stacks the predicate's nodes on top of the accumulator and copies none
+// of it. The top-down fold re-copies the whole accumulator at every step,
+// and nothing collects those copies before a job ends (DESIGN.md §14,
+// "Building predicates").
+func (s *Space) AndEach(pred func(v *Var) bdd.Node) bdd.Node {
+	m := s.M
+	level := make([]int, m.NumVars())
+	for l, id := range m.Order() {
+		level[id] = l
+	}
+	// A variable's place in the order is that of its highest bit.
+	top := make([]int, len(s.Vars))
+	for _, v := range s.Vars {
+		top[v.Index] = len(level)
+		for b := range v.curLevels {
+			top[v.Index] = min(top[v.Index], level[v.curLevels[b]], level[v.nextLevels[b]])
+		}
+	}
+	vars := append([]*Var(nil), s.Vars...)
+	sort.Slice(vars, func(i, j int) bool { return top[vars[i].Index] > top[vars[j].Index] })
+	acc := m.NewRooted(bdd.True)
+	defer acc.Release()
+	for _, v := range vars {
+		acc.Set(m.And(pred(v), acc.Node()))
+	}
+	return acc.Node()
 }
 
 // validRange builds the constraint value < Domain over the given bit levels.

@@ -24,6 +24,7 @@ import (
 	"repro/internal/bdd"
 	"repro/internal/program"
 	"repro/internal/repair"
+	"repro/internal/symbolic"
 )
 
 // ErrNotRepairable mirrors repair.ErrNotRepairable for the synchronous case.
@@ -72,27 +73,29 @@ func New(c *program.Compiled) *System {
 			owned[name] = true
 		}
 	}
-	ownedS := sc.Slot(bdd.True)
-	for _, v := range s.Vars {
-		if !owned[v.Name] {
-			ownedS.Set(m.And(ownedS.Node(), v.Unchanged()))
+	sys.Owned = m.Ref(s.AndEach(func(v *symbolic.Var) bdd.Node {
+		if owned[v.Name] {
+			return bdd.True
 		}
-	}
-	sys.Owned = m.Ref(ownedS.Node())
+		return v.Unchanged()
+	}))
 
 	for _, p := range c.Procs {
-		keepWS := sc.Slot(bdd.True)
 		var writeLevels []int
 		var frameCube []int
 		for _, v := range s.Vars {
 			if p.Write[v.Name] {
 				writeLevels = append(writeLevels, v.NextLevels()...)
-				keepWS.Set(m.And(keepWS.Node(), v.Unchanged()))
 			} else {
 				frameCube = append(frameCube, v.NextLevels()...)
 			}
 		}
-		keepW := keepWS.Node()
+		keepW := sc.Keep(s.AndEach(func(v *symbolic.Var) bdd.Node {
+			if !p.Write[v.Name] {
+				return bdd.True
+			}
+			return v.Unchanged()
+		}))
 		// λ_j: strip the "others unchanged" frame from the compiled δ_j by
 		// projecting away every next bit outside W_j.
 		lambda := sc.Keep(m.Exists(p.Trans, m.Cube(frameCube)))

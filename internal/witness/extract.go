@@ -84,13 +84,21 @@ func (x *Extractor) parts(sc *bdd.Scope, trans bdd.Node, withFaults bool) []part
 		out = append(out, part{rel: sc.Keep(rest), kind: StepProgram})
 	}
 	if withFaults {
-		for i, f := range c.FaultParts {
-			name := ""
-			if i < len(c.Def.Faults) {
-				name = c.Def.Faults[i].Name
-			}
-			out = append(out, part{rel: f, kind: StepFault, by: name})
+		out = append(out, x.faultParts()...)
+	}
+	return out
+}
+
+// faultParts labels the per-action fault slices.
+func (x *Extractor) faultParts() []part {
+	c := x.c
+	out := make([]part, len(c.FaultParts))
+	for i, f := range c.FaultParts {
+		name := ""
+		if i < len(c.Def.Faults) {
+			name = c.Def.Faults[i].Name
 		}
+		out[i] = part{rel: f, kind: StepFault, by: name}
 	}
 	return out
 }
@@ -437,20 +445,16 @@ func (x *Extractor) extendRanks(rt *rankTable, progParts []part, span bdd.Node) 
 // optionally drifts further on subsequent faults, and then converges back to
 // inv via program steps of trans — greedily following the breadth-first rank
 // toward the invariant, so convergence is structural, not lucky. It returns
-// nil when fault faultIndex cannot leave the invariant. rt is the rank table
-// RecoveryDemos shares across fault indices; recovery grows it as needed.
-func (x *Extractor) recovery(ctx context.Context, trans, inv, span bdd.Node, faultIndex int, rt *rankTable) (*Trace, error) {
+// nil when fault faultIndex cannot leave the invariant. RecoveryDemos builds
+// what every fault shares once and passes it in: the labeled program parts
+// of trans, the fault parts, inv and span (both within ValidCur, and rooted)
+// and the rank table, which recovery grows as needed.
+func (x *Extractor) recovery(ctx context.Context, progParts, faultParts []part, inv, span bdd.Node, faultIndex int, rt *rankTable) (*Trace, error) {
 	c := x.c
 	s := c.Space
 	m := s.M
-	if faultIndex < 0 || faultIndex >= len(c.FaultParts) {
-		return nil, fmt.Errorf("witness: fault index %d out of range [0,%d)", faultIndex, len(c.FaultParts))
-	}
 	sc := m.Protect()
 	defer sc.Release()
-	inv = sc.Keep(m.And(inv, s.ValidCur()))
-	span = sc.Keep(m.And(span, s.ValidCur()))
-	progParts := x.parts(sc, trans, false)
 
 	// Departure: the chosen fault's one-step exits from the invariant, then
 	// further fault drift within the span, layer by layer (capped — see
@@ -463,7 +467,6 @@ func (x *Extractor) recovery(ctx context.Context, trans, inv, span bdd.Node, fau
 		// contributes no witness.
 		return x.containedDemo(ctx, sc, progParts, inv, faultIndex)
 	}
-	faultParts := x.parts(sc, bdd.False, true)
 	outLayers := []bdd.Node{entry}
 	outReachedS := sc.Slot(entry)
 	for len(outLayers) <= maxDemoDrift {
@@ -621,7 +624,7 @@ func (x *Extractor) containedDemo(ctx context.Context, sc *bdd.Scope, progParts 
 	}
 	// Prefer a fault step that visibly changes the state; some fault
 	// relations include stutters, which demonstrate nothing.
-	if moving := m.Diff(relS.Node(), x.identity()); moving != bdd.False {
+	if moving := m.Diff(relS.Node(), s.Identity()); moving != bdd.False {
 		relS.Set(moving)
 	}
 	mv := x.pickMove(relS.Node())
@@ -665,24 +668,6 @@ func (x *Extractor) containedDemo(ctx context.Context, sc *bdd.Scope, progParts 
 	return tr, nil
 }
 
-// identity returns the stutter relation: every variable keeps its value.
-func (x *Extractor) identity() bdd.Node {
-	s := x.c.Space
-	m := s.M
-	out := m.NewRooted(bdd.True)
-	defer out.Release()
-	same := m.NewRooted(bdd.False)
-	defer same.Release()
-	for _, v := range s.Vars {
-		same.Set(bdd.False)
-		for val := 0; val < v.Domain; val++ {
-			same.Set(m.Or(same.Node(), m.And(v.EqConst(val), v.NextEqConst(val))))
-		}
-		out.Set(m.And(out.Node(), same.Node()))
-	}
-	return out.Node()
-}
-
 // RecoveryDemos extracts up to n recovery demonstrations for a repaired
 // program, one per fault action in declaration order (each action has one
 // canonical demonstration, so asking for more than the model declares yields
@@ -694,16 +679,23 @@ func RecoveryDemos(ctx context.Context, c *program.Compiled, trans, inv, span bd
 		return nil, nil
 	}
 	x := New(c)
+	s := c.Space
+	m := s.M
 	var out []*Trace
-	// One rank table serves every fault: the layers depend only on
-	// (trans, inv, span), and the per-fault target selection reads a fixed
-	// prefix of them, so sharing changes no trace. Its scope outlives the
-	// per-fault extraction scopes so the shared layers stay rooted.
-	rtsc := c.Space.M.Protect()
-	defer rtsc.Release()
-	rt := &rankTable{sc: rtsc}
+	// Everything below depends only on (trans, inv, span), so it is built
+	// once and shared by every fault: the program and fault parts, and one
+	// rank table, whose per-fault target selection reads a fixed prefix of
+	// its layers, so sharing changes no trace. Their scope outlives the
+	// per-fault extraction scopes so the shared nodes stay rooted.
+	sc := m.Protect()
+	defer sc.Release()
+	inv = sc.Keep(m.And(inv, s.ValidCur()))
+	span = sc.Keep(m.And(span, s.ValidCur()))
+	progParts := x.parts(sc, trans, false)
+	faultParts := x.faultParts()
+	rt := &rankTable{sc: sc}
 	for i := 0; i < len(c.FaultParts) && len(out) < n; i++ {
-		tr, err := x.recovery(ctx, trans, inv, span, i, rt)
+		tr, err := x.recovery(ctx, progParts, faultParts, inv, span, i, rt)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, err

@@ -3,6 +3,7 @@ package witness_test
 import (
 	"context"
 	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -126,6 +127,11 @@ func TestRecoveryDemosCertifiedAndReplayable(t *testing.T) {
 				}
 				if tr.Faults() == 0 {
 					t.Errorf("demo %d takes no fault step:\n%s", i, tr)
+				}
+				// A stutter demonstrates nothing; a fault masked in place
+				// is shown by a step that moves.
+				if maps.Equal(tr.Steps[0].State, tr.Steps[1].State) {
+					t.Errorf("demo %d opens with a fault step that changes no variable:\n%s", i, tr)
 				}
 				if err := witness.Certify(c, res.Trans, res.Invariant, tr); err != nil {
 					t.Errorf("demo %d fails certification: %v\n%s", i, err, tr)
