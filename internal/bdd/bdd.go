@@ -344,12 +344,6 @@ func (m *Manager) VarName(v int) string { return m.varNames[v] }
 // IsTerminal reports whether f is one of the two constant functions.
 func (m *Manager) IsTerminal(f Node) bool { return f <= True }
 
-// Low returns the low (else) cofactor of f. f must not be a terminal.
-func (m *Manager) Low(f Node) Node { return m.nodes[f].low }
-
-// High returns the high (then) cofactor of f. f must not be a terminal.
-func (m *Manager) High(f Node) Node { return m.nodes[f].high }
-
 // mk returns the canonical node for (level, low, high), creating it if needed.
 func (m *Manager) mk(level int32, low, high Node) Node {
 	if low == high {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/casestudies"
 	"repro/internal/program"
 	"repro/internal/repair"
-	"repro/internal/sat"
 	"repro/internal/verify"
 	"repro/internal/witness"
 )
@@ -37,9 +36,9 @@ type Job struct {
 	Options   repair.Options
 	// Verify runs the independent checker on the result.
 	Verify bool
-	// Backend is passed to verify.ResultBackendEngine; the empty string
-	// selects the BDD verifier. No user surface sets it: it remains for
-	// bench/trace.go, which mirrors Run's verify call.
+	// Backend must be "" or "bdd" (verify.ParseBackend): BDDs are the only
+	// verifier. It remains only because bench/trace.go, which mirrors Run's
+	// verify call, names it.
 	Backend verify.Backend
 	// Witnesses, when positive, asks for up to that many recovery
 	// demonstrations on success (one per fault action) in
@@ -72,9 +71,9 @@ type Outcome struct {
 	Compiled *program.Compiled
 	Result   *repair.Result
 	Report   *verify.Report // nil unless Job.Verify
-	// SATStats is the verifier's Report.SAT, nil under the BDD verifier.
-	// It remains for bench/trace.go, which mirrors Run's verify call.
-	SATStats *sat.Stats
+	// SATStats is always nil. It remains only because bench/trace.go, which
+	// mirrors Run's verify call, sets it from verify.Report.SAT.
+	SATStats *struct{}
 
 	CompileTime time.Duration
 	VerifyTime  time.Duration // zero unless Job.Verify
@@ -189,7 +188,6 @@ func Run(ctx context.Context, job Job) (out *Outcome, err error) {
 			return nil, err
 		}
 		out.Report = rep
-		out.SATStats = rep.SAT
 		out.VerifyTime = time.Since(t1)
 	}
 	return out, nil

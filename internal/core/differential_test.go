@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/bdd"
+	"repro/internal/explicit"
 	"repro/internal/expr"
 	"repro/internal/program"
 	"repro/internal/repair"
@@ -13,16 +16,22 @@ import (
 	"repro/internal/witness"
 )
 
-// TestBackendsAgree is the differential gate between the two verification
-// backends: on every built-in case study, the BDD fixpoint engine and the
-// SAT/BMC engine must return the same verdict for every check, both on the
-// repaired program (everything passes) and on the unrepaired original under
-// its original invariant (the safety checks fail — which exercises the SAT
-// counterexample path). Every witness either backend attaches must replay
-// through the certificate checker, so a disagreement cannot hide behind a
-// plausible-looking trace. The unrepaired swap-permutation model adds a deep
-// counterexample that both backends must find at its exact length.
-func TestBackendsAgree(t *testing.T) {
+// TestExplicitAgrees is the differential gate between the BDD verifier and
+// the explicit-state checker: on every input, explicit.CheckMasking must
+// return the verifier's check names in the verifier's order with the same OK
+// and Warning flags. The inputs are the case-study ladder's repaired
+// programs, their unrepaired originals under the original invariant with the
+// whole state space as fault-span (the safety checks fail where faults can
+// drive the original into its bad set), and four perturbations of each
+// repair: the empty program, the program plus every self-loop and the
+// program minus one transition, so that the deadlock, livelock and
+// decomposition checks each fail, and the program with every state in its
+// fault-span, whose safety holds only from the invariant. Every witness the
+// verifier attaches must replay through the certificate checker, and a
+// safety counterexample must be as short as the explicit breadth-first
+// search says a violation can be. The unrepaired swap-permutation model adds
+// a deep counterexample of exactly n(n-1)/2 steps.
+func TestExplicitAgrees(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
 		name string
@@ -34,32 +43,13 @@ func TestBackendsAgree(t *testing.T) {
 		{"ring", 2},
 		{"tmr", 0},
 	}
-	// Tallied across all cases: the gate is vacuous unless the SAT backend
-	// actually searched (some targets are constant-false and answer at depth
-	// zero for free) and at least one original produced a counterexample.
-	var solverWork int64
-	counterexamples := 0
-	// verifyOriginal checks the unrepaired program under its own invariant.
-	// The fault span is the whole valid state space, so the reachability
-	// checks answer the interesting question — can faults drive the original
-	// program into the bad set? Where they can, the SAT backend must produce
-	// a counterexample trace that certifies (verifyBoth replays every
-	// attached witness).
-	verifyOriginal := func(t *testing.T, c *program.Compiled) [2]*verify.Report {
-		orig := &repair.Result{
-			Trans:     c.Trans,
-			Invariant: c.Invariant,
-			FaultSpan: c.Space.ValidCur(),
-		}
-		reports := verifyBoth(t, c, orig)
-		solverWork += reports[1].SAT.Conflicts + reports[1].SAT.Decisions + reports[1].SAT.Propagations
-		if safetyWitness(reports[1]) != nil {
-			counterexamples++
-		}
-		return reports
-	}
+	// Failed checks tallied across all inputs: the gate is vacuous for a
+	// check that never fails. ran counts the subtests a -run filter kept.
+	failures := make(map[string]int)
+	ran := 0
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			ran++
 			def, err := CaseStudy(tc.name, tc.n)
 			if err != nil {
 				t.Fatal(err)
@@ -68,120 +58,207 @@ func TestBackendsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sys, err := explicit.FromCompiled(c)
+			if err != nil {
+				t.Fatal(err)
+			}
 			res, err := repair.Lazy(ctx, c, repair.DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			// Repaired program: both backends must pass every check.
-			repaired := verifyBoth(t, c, res)
-			if !repaired[0].OK() || !repaired[1].OK() {
-				t.Errorf("repaired result fails verification:\nBDD:\n%s\nSAT:\n%s", repaired[0], repaired[1])
+			if rep := agree(t, sys, res, failures); !rep.OK() {
+				t.Errorf("repaired result fails verification:\n%s", rep)
 			}
-			solverWork += repaired[1].SAT.Conflicts + repaired[1].SAT.Decisions + repaired[1].SAT.Propagations
+			agree(t, sys, original(c), failures)
 
-			// The stabilization models (sc, ring) declare no bad set, so
-			// their originals legitimately pass.
-			verifyOriginal(t, c)
+			s := c.Space
+			m := s.M
+			sc := m.Protect()
+			defer sc.Release()
+			// The lowest transition of the repair, by explicit encoding.
+			repaired := make(map[explicit.Trans]bool)
+			sys.FillTrans(res.Trans, repaired)
+			drop := lowest(repaired)
+			move, err := s.Transition(named(sys, drop.From), named(sys, drop.To))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Keep(move)
+			perturb := func(trans, span bdd.Node) *repair.Result {
+				return &repair.Result{Trans: trans, Invariant: res.Invariant, FaultSpan: span}
+			}
+			for _, r := range []*repair.Result{
+				// Every recovery state deadlocks.
+				perturb(bdd.False, res.FaultSpan),
+				// Self-loops outside the invariant livelock.
+				perturb(sc.Keep(m.Or(res.Trans, s.Identity())), res.FaultSpan),
+				// The dropped transition's group is incomplete.
+				perturb(sc.Keep(m.Diff(res.Trans, move)), res.FaultSpan),
+				// Bad states unreachable from the invariant lie in the span.
+				perturb(res.Trans, s.ValidCur()),
+			} {
+				agree(t, sys, r, failures)
+			}
 		})
 	}
 	// swap(5) unrepaired: the reversed permutation is n(n-1)/2 = 10 adjacent
-	// transpositions from the identity, so BDD reachability needs 10
-	// frontier layers and the SAT backend 10 unrolled frames.
+	// transpositions from the identity.
 	t.Run("swap5", func(t *testing.T) {
+		ran++
 		const n = 5
 		c, err := swapDef(n).Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, rep := range verifyOriginal(t, c) {
-			backend := []string{"BDD", "SAT"}[i]
-			tr := safetyWitness(rep)
-			if tr == nil {
-				t.Fatalf("%s backend found no safety counterexample:\n%s", backend, rep)
-			}
-			// Steps holds the initial state, then one entry per transition.
-			if got := len(tr.Steps) - 1; got != n*(n-1)/2 {
-				t.Errorf("%s backend: safety counterexample takes %d steps, want %d", backend, got, n*(n-1)/2)
-			}
+		sys, err := explicit.FromCompiled(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := agree(t, sys, original(c), failures)
+		tr := safetyWitness(rep)
+		if tr == nil {
+			t.Fatalf("no safety counterexample:\n%s", rep)
+		}
+		// Steps holds the initial state, then one entry per transition.
+		if got := len(tr.Steps) - 1; got != n*(n-1)/2 {
+			t.Errorf("safety counterexample takes %d steps, want %d", got, n*(n-1)/2)
 		}
 	})
-	if solverWork == 0 {
-		t.Error("SAT backend recorded no solver work across the whole ladder")
+	if ran < len(cases)+1 {
+		return
 	}
-	if counterexamples == 0 {
-		t.Error("no original produced a SAT safety counterexample — the gate never exercised the trace decoder")
+	for _, name := range []string{
+		"no reachable bad state",
+		"no reachable bad transition",
+		"no deadlock outside invariant",
+		"no livelock outside invariant",
+		"transitions decompose into processes",
+	} {
+		if failures[name] == 0 {
+			t.Errorf("no input fails %q", name)
+		}
 	}
 }
 
-// verifyBoth runs both backends over the same result, asserts the check lists
-// agree name-by-name on OK and Warning, certifies every attached witness, and
-// returns the two reports (BDD first).
-func verifyBoth(t *testing.T, c *program.Compiled, res *repair.Result) [2]*verify.Report {
+// agree verifies res with the BDD verifier (with witnesses) and the explicit
+// checker, requires check-by-check agreement on name, OK and Warning,
+// certifies every attached witness, pins the safety counterexample's length
+// to the explicit distance, tallies the failed checks and returns the BDD
+// report.
+func agree(t *testing.T, sys *explicit.System, res *repair.Result, failures map[string]int) *verify.Report {
 	t.Helper()
-	ctx := context.Background()
-	var reports [2]*verify.Report
-	for i, backend := range []verify.Backend{verify.BackendBDD, verify.BackendSAT} {
-		rep, err := verify.ResultBackendEngine(ctx, program.SerialEngine(c), res, backend, true)
-		if err != nil {
-			t.Fatalf("backend %s: %v", backend, err)
-		}
-		reports[i] = rep
-		for _, ck := range rep.Checks {
-			if ck.Witness == nil {
-				continue
-			}
-			if err := witness.Certify(c, res.Trans, res.Invariant, ck.Witness); err != nil {
-				t.Errorf("backend %s: witness for %q does not certify: %v", backend, ck.Name, err)
-			}
-		}
+	c := sys.C
+	rep, err := verify.ResultWitnessEngine(context.Background(), program.SerialEngine(c), res)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if reports[1].SAT == nil {
-		t.Fatal("SAT backend attached no solver stats")
+	trans := make(map[explicit.Trans]bool)
+	sys.FillTrans(res.Trans, trans)
+	inv := make(map[explicit.State]bool)
+	sys.FillStates(res.Invariant, inv)
+	span := make(map[explicit.State]bool)
+	sys.FillStates(res.FaultSpan, span)
+	verdicts := sys.CheckMasking(trans, inv, span)
+
+	var names, explicitNames []string
+	for _, ck := range rep.Checks {
+		names = append(names, ck.Name)
 	}
-	b, s := reports[0], reports[1]
-	if len(b.Checks) != len(s.Checks) {
-		t.Fatalf("check counts differ: BDD %d, SAT %d", len(b.Checks), len(s.Checks))
+	for _, v := range verdicts {
+		explicitNames = append(explicitNames, v.Name)
 	}
-	for i := range b.Checks {
-		bc, sc := b.Checks[i], s.Checks[i]
-		if bc.Name != sc.Name {
-			t.Fatalf("check %d name differs: BDD %q, SAT %q", i, bc.Name, sc.Name)
-		}
-		if bc.OK != sc.OK || bc.Warning != sc.Warning {
-			t.Errorf("backends disagree on %q: BDD ok=%v warn=%v (%s), SAT ok=%v warn=%v (%s)",
-				bc.Name, bc.OK, bc.Warning, bc.Detail, sc.OK, sc.Warning, sc.Detail)
-		}
+	if !reflect.DeepEqual(names, explicitNames) {
+		t.Fatalf("check names differ:\nBDD:      %q\nexplicit: %q", names, explicitNames)
 	}
-	// A failed safety check must carry a certified counterexample under both
-	// backends (the verifier attaches it to the first failing of the two
-	// safety checks): evidence, not an optional extra.
-	for _, rep := range reports {
-		name := ""
-		for _, ck := range rep.Checks {
-			if !ck.OK && (ck.Name == "no reachable bad state" || ck.Name == "no reachable bad transition") {
-				name = ck.Name
-				break
-			}
+	depth := make(map[string]int)
+	for i, ck := range rep.Checks {
+		v := verdicts[i]
+		if ck.OK != v.OK || ck.Warning != v.Warning {
+			t.Errorf("%q: BDD ok=%v warn=%v (%s), explicit ok=%v warn=%v",
+				ck.Name, ck.OK, ck.Warning, ck.Detail, v.OK, v.Warning)
 		}
-		if name == "" {
+		if !ck.OK {
+			failures[ck.Name]++
+		}
+		depth[ck.Name] = v.Depth
+		if ck.Witness == nil {
 			continue
 		}
-		if !hasWitness(rep, name) {
-			t.Errorf("failed check %q carries no witness", name)
+		if err := witness.Certify(c, res.Trans, res.Invariant, ck.Witness); err != nil {
+			t.Errorf("witness for %q does not certify: %v", ck.Name, err)
 		}
 	}
-	return reports
+
+	// The verifier attaches the safety counterexample to the first failing
+	// safety check. Its first violation — a bad transition into step i, else
+	// a bad state at step i — must come at the explicit distance of that
+	// kind of violation.
+	for _, ck := range rep.Checks {
+		if ck.OK || ck.Name != "no reachable bad state" && ck.Name != "no reachable bad transition" {
+			continue
+		}
+		if ck.Witness == nil {
+			t.Errorf("failed check %q carries no witness", ck.Name)
+			break
+		}
+		steps := ck.Witness.Steps
+		prev := explicit.State(-1)
+		for i, st := range steps {
+			cur := encode(sys, st.State)
+			if i > 0 && sys.BadTrans(explicit.Trans{From: prev, To: cur}) {
+				if want := depth["no reachable bad transition"]; i != want {
+					t.Errorf("%q: counterexample takes a bad transition at step %d, explicit distance %d", ck.Name, i, want)
+				}
+				break
+			}
+			if sys.BadStates[cur] {
+				if want := depth["no reachable bad state"]; i != want {
+					t.Errorf("%q: counterexample reaches a bad state at step %d, explicit distance %d", ck.Name, i, want)
+				}
+				break
+			}
+			prev = cur
+		}
+		break
+	}
+	return rep
 }
 
-// hasWitness reports whether the named check carries a trace.
-func hasWitness(rep *verify.Report, name string) bool {
-	for _, ck := range rep.Checks {
-		if ck.Name == name {
-			return ck.Witness != nil
+// original is the unrepaired program under its own invariant, with the whole
+// valid state space as fault-span, so the reachability checks ask whether
+// faults can drive the original program into its bad set.
+func original(c *program.Compiled) *repair.Result {
+	return &repair.Result{Trans: c.Trans, Invariant: c.Invariant, FaultSpan: c.Space.ValidCur()}
+}
+
+// lowest returns the transition of a non-empty set with the smallest
+// (from, to).
+func lowest(set map[explicit.Trans]bool) explicit.Trans {
+	low, first := explicit.Trans{}, true
+	for t := range set {
+		if first || t.From < low.From || t.From == low.From && t.To < low.To {
+			low, first = t, false
 		}
 	}
-	return false
+	return low
+}
+
+// named converts an explicit state to the named-variable form.
+func named(sys *explicit.System, s explicit.State) map[string]int {
+	out := make(map[string]int)
+	for i, val := range sys.Values(s) {
+		out[sys.C.Space.Vars[i].Name] = val
+	}
+	return out
+}
+
+// encode converts a named-variable state to its explicit encoding.
+func encode(sys *explicit.System, state map[string]int) explicit.State {
+	vals := make([]int, len(sys.C.Space.Vars))
+	for i, v := range sys.C.Space.Vars {
+		vals[i] = state[v.Name]
+	}
+	return sys.Encode(vals)
 }
 
 // safetyWitness returns the first safety-violation trace attached to a

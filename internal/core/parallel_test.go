@@ -221,7 +221,7 @@ func TestSharedDeterministic(t *testing.T) {
 			if checker.Workers() != 4 {
 				t.Fatalf("verification engine has %d workers, want 4", checker.Workers())
 			}
-			rep, err := verify.ResultBackendEngine(ctx, checker, res, verify.BackendBDD, true)
+			rep, err := verify.ResultWitnessEngine(ctx, checker, res)
 			if err != nil {
 				t.Fatalf("split verification: %v", err)
 			}
@@ -231,7 +231,7 @@ func TestSharedDeterministic(t *testing.T) {
 			if len(res.Witnesses) == 0 {
 				t.Fatal("split run: no recovery demonstrations extracted")
 			}
-			split := &Outcome{Compiled: compiled, Result: res, Report: rep, SATStats: rep.SAT, Workers: checker.Workers()}
+			split := &Outcome{Compiled: compiled, Result: res, Report: rep, Workers: checker.Workers()}
 
 			var reports [2][]byte
 			for i, o := range []struct {

@@ -2,12 +2,14 @@
 // engine. It materializes the state space of a compiled program as a graph,
 // implements the read-restriction group computation and the *literal*
 // Algorithm 2 of the paper — one transition picked per iteration, with the
-// ExpandGroup optimization — and provides graph-based checks of masking
-// fault-tolerance.
+// ExpandGroup optimization — and checks masking fault-tolerance and
+// realizability with plain graph algorithms, one verdict per check of the
+// symbolic verifier.
 //
 // Its purpose is validation: tests assert that the explicit algorithms agree
 // with the symbolic ones on small instances, so the symbolic closed forms
-// (DESIGN.md §4) are cross-checked against the paper's pseudocode.
+// (DESIGN.md §4) are cross-checked against the paper's pseudocode, and the
+// verifier is cross-checked check by check (DESIGN.md §16).
 package explicit
 
 import (
@@ -33,6 +35,9 @@ type System struct {
 
 	NumStates int
 	radix     []int // domain sizes in declaration order
+	// cur[i] and next[i] are variable i's current- and next-state BDD
+	// variables, least significant bit first.
+	cur, next [][]int
 
 	// Proc[j] holds process j's transitions; Fault holds fault transitions.
 	Proc  []map[Trans]bool
@@ -40,7 +45,6 @@ type System struct {
 
 	Invariant map[State]bool
 	BadStates map[State]bool
-	BadTrans  map[Trans]bool
 }
 
 // MaxStates bounds enumeration; FromCompiled fails beyond it.
@@ -64,7 +68,10 @@ func FromCompiled(c *program.Compiled) (*System, error) {
 		Fault:     make(map[Trans]bool),
 		Invariant: make(map[State]bool),
 		BadStates: make(map[State]bool),
-		BadTrans:  make(map[Trans]bool),
+	}
+	for _, v := range c.Space.Vars {
+		sys.cur = append(sys.cur, v.CurLevels())
+		sys.next = append(sys.next, v.NextLevels())
 	}
 	for range c.Procs {
 		sys.Proc = append(sys.Proc, make(map[Trans]bool))
@@ -76,8 +83,26 @@ func FromCompiled(c *program.Compiled) (*System, error) {
 		sys.fillTrans(p.Trans, sys.Proc[j])
 	}
 	sys.fillTrans(c.Fault, sys.Fault)
-	sys.fillTrans(c.BadTrans, sys.BadTrans)
 	return sys, nil
+}
+
+// BadTrans reports whether t is a bad transition (Sf_bt). Membership is
+// decided pointwise, by one root-to-leaf walk of the symbolic predicate under
+// the pair's assignment: a model of a few thousand states can have hundreds
+// of millions of bad pairs, far too many to enumerate.
+func (sys *System) BadTrans(t Trans) bool {
+	m := sys.C.Space.M
+	asg := make([]bool, m.NumVars())
+	from, to := sys.Values(t.From), sys.Values(t.To)
+	for i := range sys.radix {
+		for b, v := range sys.cur[i] {
+			asg[v] = from[i]>>b&1 != 0
+		}
+		for b, v := range sys.next[i] {
+			asg[v] = to[i]>>b&1 != 0
+		}
+	}
+	return m.Eval(sys.C.BadTrans, asg)
 }
 
 // Values decodes a state into per-variable values (declaration order).
@@ -199,32 +224,32 @@ func (sys *System) AllProg() map[Trans]bool {
 	return out
 }
 
-// Reachable returns the states reachable from init via the given transition
-// sets.
-func (sys *System) Reachable(init map[State]bool, sets ...map[Trans]bool) map[State]bool {
+// Distances runs a breadth-first search from init over the union of the
+// given transition sets and returns every reached state with the number of
+// steps of a shortest path to it.
+func (sys *System) Distances(init map[State]bool, sets ...map[Trans]bool) map[State]int {
 	adj := make(map[State][]State)
 	for _, set := range sets {
 		for t := range set {
 			adj[t.From] = append(adj[t.From], t.To)
 		}
 	}
-	reached := make(map[State]bool, len(init))
-	var stack []State
+	dist := make(map[State]int, len(init))
+	queue := make([]State, 0, len(init))
 	for s := range init {
-		reached[s] = true
-		stack = append(stack, s)
+		dist[s] = 0
+		queue = append(queue, s)
 	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for i := 0; i < len(queue); i++ {
+		s := queue[i]
 		for _, t := range adj[s] {
-			if !reached[t] {
-				reached[t] = true
-				stack = append(stack, t)
+			if _, ok := dist[t]; !ok {
+				dist[t] = dist[s] + 1
+				queue = append(queue, t)
 			}
 		}
 	}
-	return reached
+	return dist
 }
 
 // FillStates enumerates the models of a symbolic state predicate into set.

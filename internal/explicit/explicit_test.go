@@ -61,17 +61,31 @@ func TestEnumerationMatchesSymbolicCounts(t *testing.T) {
 		if got, want := float64(len(sys.Fault)), s.CountTransitions(c.Fault); got != want {
 			t.Errorf("%s: faults %v != symbolic %v", d.Name, got, want)
 		}
-		total := 0.0
 		for j, p := range c.Procs {
 			if got, want := float64(len(sys.Proc[j])), s.CountTransitions(p.Trans); got != want {
 				t.Errorf("%s: proc %s %v != symbolic %v", d.Name, p.Name, got, want)
 			}
-			total += float64(len(sys.Proc[j]))
 		}
-		_ = total
-		if got, want := float64(len(sys.BadTrans)), s.CountTransitions(c.BadTrans); got != want {
+		bad := 0
+		for from := 0; from < sys.NumStates; from++ {
+			for to := 0; to < sys.NumStates; to++ {
+				if sys.BadTrans(Trans{State(from), State(to)}) {
+					bad++
+				}
+			}
+		}
+		if got, want := float64(bad), s.CountTransitions(c.BadTrans); got != want {
 			t.Errorf("%s: bad transitions %v != symbolic %v", d.Name, got, want)
 		}
+	}
+}
+
+// TestFromCompiledChain builds a model whose bad-transition set is far too
+// large to enumerate: sc(4) has 20,000 states but ~2·10^8 bad pairs.
+func TestFromCompiledChain(t *testing.T) {
+	sys, c := mustSystem(t, casestudies.SC(4))
+	if got, want := float64(sys.NumStates), c.Space.CountStates(c.Space.ValidCur()); got != want {
+		t.Fatalf("sc(4): %v states, symbolic %v", got, want)
 	}
 }
 
@@ -79,7 +93,7 @@ func TestReachableMatchesSymbolic(t *testing.T) {
 	for _, d := range []*program.Def{hiddenModel(), casestudies.BA(2), casestudies.SC(3)} {
 		sys, c := mustSystem(t, d)
 		s := c.Space
-		exp := sys.Reachable(sys.Invariant, sys.AllProg(), sys.Fault)
+		exp := sys.Distances(sys.Invariant, sys.AllProg(), sys.Fault)
 		sym := s.ReachableParts(c.Invariant, c.PartsWithFaults(bdd.True))
 		if got, want := float64(len(exp)), s.CountStates(sym); got != want {
 			t.Errorf("%s: explicit reach %v != symbolic %v", d.Name, got, want)
@@ -233,46 +247,100 @@ func TestCheckMaskingOnRepairedProgram(t *testing.T) {
 		sys.fillStates(res.Invariant, inv)
 		span := make(map[State]bool)
 		sys.fillStates(res.FaultSpan, span)
-		if violations := sys.CheckMasking(trans, inv, span); len(violations) != 0 {
-			t.Errorf("%s: explicit masking check failed: %v", d.Name, violations)
+		for _, v := range sys.CheckMasking(trans, inv, span) {
+			if !v.OK && !v.Warning {
+				t.Errorf("%s: explicit check %q failed", d.Name, v.Name)
+			}
 		}
 	}
 }
 
-func TestCheckMaskingDetectsViolations(t *testing.T) {
-	sys, c := mustSystem(t, hiddenModel())
-	res, err := repair.Lazy(context.Background(), c, repair.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+// lineModel is a five-state line x ∈ [0,5) for the per-check violations: one
+// process that reads and writes x (so every transition is its own group) and
+// no actions, invariant x=0, faults 0→1 and 3→4, bad state x=2 and bad
+// transition 3→4 — the second fault.
+func lineModel() *program.Def {
+	return &program.Def{
+		Name:      "line",
+		Vars:      []symbolic.VarSpec{{Name: "x", Domain: 5}},
+		Processes: []*program.Process{{Name: "p", Read: []string{"x"}, Write: []string{"x"}}},
+		Faults: []program.Action{
+			{Name: "f1", Guard: expr.Eq("x", 0), Updates: []program.Update{program.Set("x", 1)}},
+			{Name: "f2", Guard: expr.Eq("x", 3), Updates: []program.Update{program.Set("x", 4)}},
+		},
+		Invariant: expr.Eq("x", 0),
+		BadStates: expr.Eq("x", 2),
+		BadTrans:  expr.And(expr.Eq("x", 3), expr.NextEq("x", 4)),
 	}
-	inv := make(map[State]bool)
-	sys.fillStates(res.Invariant, inv)
-	span := make(map[State]bool)
-	sys.fillStates(res.FaultSpan, span)
+}
 
-	// Empty program: recovery states deadlock.
-	if v := sys.CheckMasking(map[Trans]bool{}, inv, span); len(v) == 0 {
-		t.Fatal("empty program should fail the masking check")
-	}
-	// Self-loop outside the invariant: livelock.
-	var outside State = -1
-	for s := range span {
-		if !inv[s] {
-			outside = s
-			break
+// TestCheckMaskingDetectsViolations builds one violation per check by hand
+// and requires that exactly that check fails, with the depth of a shortest
+// violating computation where it has one. A reachable state can leave the
+// fault-span only where the span is not closed or misses part of the
+// invariant, so those two cases also fail "reachable within fault-span".
+func TestCheckMaskingDetectsViolations(t *testing.T) {
+	line, _ := mustSystem(t, lineModel())
+	hidden, _ := mustSystem(t, hiddenModel())
+	// hidden's states are a + 2y: the process reads y but not a, so its
+	// groups pair a=0 with a=1. The fault takes 0 → 3; y=1 → y=0 with a=0
+	// (2 → 0) is bad.
+	states := func(ss ...State) map[State]bool {
+		out := make(map[State]bool)
+		for _, s := range ss {
+			out[s] = true
 		}
+		return out
 	}
-	if outside >= 0 {
-		bad := map[Trans]bool{{outside, outside}: true}
-		found := false
-		for _, v := range sys.CheckMasking(bad, inv, span) {
-			if v == "livelock: cycle outside invariant" {
-				found = true
+	trans := func(ts ...Trans) map[Trans]bool {
+		out := make(map[Trans]bool)
+		for _, t := range ts {
+			out[t] = true
+		}
+		return out
+	}
+	cases := []struct {
+		name      string
+		sys       *System
+		trans     map[Trans]bool
+		inv, span map[State]bool
+		fails     map[string]int // the failing checks, with their depths
+	}{
+		{"recovering", line, trans(Trans{1, 0}), states(0), states(0, 1), nil},
+		{"empty invariant", line, trans(), states(), states(),
+			map[string]int{"invariant nonempty": 0}},
+		{"invariant outside the original", line, trans(), states(0, 1), states(0, 1),
+			map[string]int{"invariant subset of original": 0}},
+		{"new behavior inside the invariant", line, trans(Trans{0, 0}, Trans{1, 0}), states(0), states(0, 1),
+			map[string]int{"no new behavior inside invariant": 0}},
+		{"invariant not closed", line, trans(Trans{0, 1}, Trans{1, 0}), states(0), states(0, 1),
+			map[string]int{"invariant closed in program": 0}},
+		{"fault-span not closed under a fault", line, trans(Trans{1, 0}, Trans{3, 0}), states(0), states(0, 1, 3),
+			map[string]int{"fault-span closed in program∪fault": 0}},
+		{"reachable state outside the fault-span", line, trans(Trans{1, 0}), states(0), states(0),
+			map[string]int{"fault-span closed in program∪fault": 0, "reachable within fault-span": 1}},
+		{"invariant outside the fault-span", line, trans(), states(0), states(),
+			map[string]int{"invariant inside fault-span": 0, "reachable within fault-span": 0}},
+		{"reachable bad state", line, trans(Trans{1, 2}, Trans{2, 0}), states(0), states(0, 1, 2),
+			map[string]int{"no reachable bad state": 2}},
+		{"reachable bad fault transition", line, trans(Trans{1, 3}, Trans{3, 0}, Trans{4, 0}), states(0), states(0, 1, 3, 4),
+			map[string]int{"no reachable bad transition": 3}},
+		{"deadlock outside the invariant", line, trans(), states(0), states(0, 1),
+			map[string]int{"no deadlock outside invariant": 0}},
+		{"self-loop livelock", line, trans(Trans{1, 1}), states(0), states(0, 1),
+			map[string]int{"no livelock outside invariant": 0}},
+		{"incomplete group", hidden, trans(Trans{3, 1}), states(0, 1), states(0, 1, 3),
+			map[string]int{"transitions decompose into processes": 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, v := range tc.sys.CheckMasking(tc.trans, tc.inv, tc.span) {
+				depth, fails := tc.fails[v.Name]
+				if v.OK == fails || v.Depth != depth {
+					t.Errorf("%q: ok=%v depth %d, want ok=%v depth %d", v.Name, v.OK, v.Depth, !fails, depth)
+				}
 			}
-		}
-		if !found {
-			t.Fatal("self-loop outside invariant should be reported as livelock")
-		}
+		})
 	}
 }
 

@@ -88,8 +88,7 @@ func TestJobEmbedsCertifiedWitnesses(t *testing.T) {
 
 // TestMetricsJSONEndpoint checks /metrics.json serves the structured
 // snapshot alongside the Prometheus text exposition at /metrics, and that
-// neither carries solver counters: the SAT verifier is a test oracle that no
-// job reaches.
+// neither carries solver counters: BDDs are the only verifier.
 func TestMetricsJSONEndpoint(t *testing.T) {
 	base, s, shutdown := bootDaemon(t, Config{Workers: 1, QueueDepth: 4})
 	defer shutdown()

@@ -16,46 +16,23 @@ import (
 	"strings"
 
 	"repro/internal/bdd"
-	"repro/internal/bmc"
 	"repro/internal/program"
 	"repro/internal/repair"
-	"repro/internal/sat"
 	"repro/internal/witness"
 )
 
-// Backend selects the symbolic engine behind the reachability checks. No
-// user surface selects it: BackendBDD is the verifier every caller reaches,
-// and BackendSAT is the independent oracle the differential gate
-// (TestBackendsAgree in internal/core) compares it against.
+// Backend names a verification engine. BDDs are the only one, so Backend,
+// ParseBackend and ResultBackendEngine's backend parameter select nothing;
+// they remain only because bench/trace.go and core.Run compile against them.
 type Backend string
 
-// The verification backends.
-const (
-	// BackendBDD is the default: reachability as BDD fixpoints, witnesses by
-	// frontier-stack extraction.
-	BackendBDD Backend = "bdd"
-	// BackendSAT routes the reachability checks (fault-span containment, bad
-	// states, bad transitions) and the safety/deadlock witness search through
-	// bounded model checking over the CDCL solver. The definitional and
-	// fixpoint checks that are not reachability-shaped (closure, livelock,
-	// realizability, liveness) still run on the BDD engine, so the two
-	// backends answer the same questions and their verdicts must agree. A
-	// passing SAT verdict is exact when the loop-free-path argument closed
-	// the search and bounded (noted in the check detail) when MaxDepth was
-	// hit first.
-	BackendSAT Backend = "sat"
-)
-
-// ParseBackend validates a backend name; the empty string means BackendBDD.
-// It remains for bench/trace.go, which mirrors core.Run's verify call.
+// ParseBackend accepts "" and "bdd" and rejects every other name. Only
+// bench/trace.go and core.Run call it.
 func ParseBackend(s string) (Backend, error) {
-	switch Backend(s) {
-	case "", BackendBDD:
-		return BackendBDD, nil
-	case BackendSAT:
-		return BackendSAT, nil
+	if s != "" && s != "bdd" {
+		return "", fmt.Errorf("verify: unknown backend %q (want \"bdd\")", s)
 	}
-	return "", fmt.Errorf("verify: unknown backend %q (want %q or %q)", s, BackendBDD, BackendSAT)
+	return "bdd", nil
 }
 
 // Check is one verified property. The JSON tags make reports embeddable in
@@ -79,10 +56,9 @@ type Check struct {
 // Report is the outcome of verifying a repair result.
 type Report struct {
 	Checks []Check
-	// SAT carries the solver's work counters summed over every bounded
-	// model-checking query of the run. Nil under the BDD backend. The
-	// differential gate reads it; it remains exported for bench/trace.go.
-	SAT *sat.Stats `json:"sat,omitempty"`
+	// SAT is always nil. It remains only because bench/trace.go copies it
+	// into core.Outcome.SATStats.
+	SAT *struct{} `json:"sat,omitempty"`
 }
 
 // OK reports whether every check passed.
@@ -164,7 +140,7 @@ func Result(c *program.Compiled, res *repair.Result) *Report {
 // themselves are unchanged — canonical BDDs make the fan-out invisible to
 // the verdict. The error is non-nil only on context cancellation.
 func ResultEngine(ctx context.Context, e *program.Engine, res *repair.Result) (*Report, error) {
-	return resultEngine(ctx, e, res, BackendBDD, false)
+	return resultEngine(ctx, e, res, false)
 }
 
 // ResultWitnessEngine is ResultEngine plus witness extraction: every failed
@@ -173,20 +149,17 @@ func ResultEngine(ctx context.Context, e *program.Engine, res *repair.Result) (*
 // manager from the same canonical fixpoint sets the checks computed, so the
 // attached witnesses are byte-identical across worker counts.
 func ResultWitnessEngine(ctx context.Context, e *program.Engine, res *repair.Result) (*Report, error) {
-	return resultEngine(ctx, e, res, BackendBDD, true)
+	return resultEngine(ctx, e, res, true)
 }
 
-// ResultBackendEngine is the backend-selecting entry point: ResultEngine /
-// ResultWitnessEngine with the reachability checks (and, with witnesses, the
-// safety and deadlock trace search) routed through the chosen engine. Both
-// backends emit the same check names with the same pass/fail meaning, which
-// is what the differential gate compares. It is the only way into the SAT
-// branch; core.Run calls it with the BDD backend.
-func ResultBackendEngine(ctx context.Context, e *program.Engine, res *repair.Result, backend Backend, withWitness bool) (*Report, error) {
-	return resultEngine(ctx, e, res, backend, withWitness)
+// ResultBackendEngine is ResultWitnessEngine when withWitness is set and
+// ResultEngine otherwise; the backend is ignored. Only bench/trace.go and
+// core.Run call it.
+func ResultBackendEngine(ctx context.Context, e *program.Engine, res *repair.Result, _ Backend, withWitness bool) (*Report, error) {
+	return resultEngine(ctx, e, res, withWitness)
 }
 
-func resultEngine(ctx context.Context, e *program.Engine, res *repair.Result, backend Backend, withWitness bool) (*Report, error) {
+func resultEngine(ctx context.Context, e *program.Engine, res *repair.Result, withWitness bool) (*Report, error) {
 	c := e.C
 	m := c.Space.M
 	s := c.Space
@@ -227,61 +200,16 @@ func resultEngine(ctx context.Context, e *program.Engine, res *repair.Result, ba
 	for _, p := range procParts {
 		sc.Keep(p) // the per-process parts feed every later check
 	}
-	// The three reachability-shaped checks are the backend seam: BDD computes
-	// the exact reachable set once and intersects; SAT answers each question
-	// as a bounded-model-checking query over the same partitioned relation.
-	// Check names and pass/fail meaning are identical either way — that is
-	// the contract the differential gate relies on.
-	var (
-		satQuery    func(target bdd.Node, asTrans bool) (*bmc.Result, error)
-		satBadState *bmc.Result
-		satBadTrans *bmc.Result
-	)
-	if backend == BackendSAT {
-		steps, attrib := bmcParts(sc, c, procParts, trans)
-		rep.SAT = &sat.Stats{}
-		satQuery = func(target bdd.Node, asTrans bool) (*bmc.Result, error) {
-			// One fresh checker per query (the single-query contract); the
-			// shared stats field sums the solver work across all of them.
-			ck := bmc.New(s, inv, steps, bmc.Options{Attribution: attrib})
-			var r *bmc.Result
-			var qerr error
-			if asTrans {
-				r, qerr = ck.ReachTrans(ctx, target)
-			} else {
-				r, qerr = ck.ReachState(ctx, target)
-			}
-			if qerr != nil {
-				return nil, qerr
-			}
-			rep.SAT.Add(r.Stats)
-			return r, nil
-		}
-		r, qerr := satQuery(sc.Keep(m.Diff(s.ValidCur(), span)), false)
-		if qerr != nil {
-			return nil, qerr
-		}
-		rep.add("reachable within fault-span", !r.Reachable, bmcDetail(r))
-		if satBadState, qerr = satQuery(c.BadStates, false); qerr != nil {
-			return nil, qerr
-		}
-		rep.add("no reachable bad state", !satBadState.Reachable, bmcDetail(satBadState))
-		if satBadTrans, qerr = satQuery(sc.Keep(m.And(combined, c.BadTrans)), true); qerr != nil {
-			return nil, qerr
-		}
-		rep.add("no reachable bad transition", !satBadTrans.Reachable, bmcDetail(satBadTrans))
-	} else {
-		reach, err := e.ReachableParts(ctx, inv, append(append([]bdd.Node{}, procParts...), c.FaultParts...))
-		if err != nil {
-			return nil, err
-		}
-		sc.Keep(reach)
-		rep.add("reachable within fault-span", m.Implies(reach, span), "")
-		badReach := m.And(reach, c.BadStates)
-		rep.add("no reachable bad state", badReach == bdd.False, "")
-		badStep := m.AndN(combined, reach, c.BadTrans)
-		rep.add("no reachable bad transition", badStep == bdd.False, "")
+	reach, err := e.ReachableParts(ctx, inv, append(append([]bdd.Node{}, procParts...), c.FaultParts...))
+	if err != nil {
+		return nil, err
 	}
+	sc.Keep(reach)
+	rep.add("reachable within fault-span", m.Implies(reach, span), "")
+	badReach := m.And(reach, c.BadStates)
+	rep.add("no reachable bad state", badReach == bdd.False, "")
+	badStep := m.AndN(combined, reach, c.BadTrans)
+	rep.add("no reachable bad transition", badStep == bdd.False, "")
 
 	// --- recovery (the liveness half of masking) ---------------------------
 	outside := sc.Keep(m.Diff(span, inv))
@@ -363,48 +291,18 @@ func resultEngine(ctx context.Context, e *program.Engine, res *repair.Result, ba
 			if !rep.failed(name) {
 				name = "no reachable bad transition"
 			}
-			if backend == BackendSAT {
-				// The failing BMC query already decoded a shortest path; the
-				// steps are in the exact shape Certify replays.
-				res := satBadState
-				if name == "no reachable bad transition" {
-					res = satBadTrans
-				}
-				if res != nil && res.Reachable {
-					rep.attach(name, &witness.Trace{
-						Kind:   witness.KindSafety,
-						Detail: fmt.Sprintf("bounded model check: safety violated after %d step(s)", len(res.Steps)-1),
-						Steps:  res.Steps,
-					})
-				}
-			} else {
-				tr, werr := x.Safety(ctx, trans, inv)
-				if werr != nil {
-					return nil, werr
-				}
-				rep.attach(name, tr)
+			tr, werr := x.Safety(ctx, trans, inv)
+			if werr != nil {
+				return nil, werr
 			}
+			rep.attach(name, tr)
 		}
 		if rep.failed("no deadlock outside invariant") {
-			if backend == BackendSAT {
-				r, qerr := satQuery(noOut, false)
-				if qerr != nil {
-					return nil, qerr
-				}
-				if r.Reachable {
-					rep.attach("no deadlock outside invariant", &witness.Trace{
-						Kind:   witness.KindDeadlock,
-						Detail: fmt.Sprintf("bounded model check: deadlock outside the invariant after %d step(s)", len(r.Steps)-1),
-						Steps:  r.Steps,
-					})
-				}
-			} else {
-				tr, werr := x.Deadlock(ctx, trans, inv, noOut)
-				if werr != nil {
-					return nil, werr
-				}
-				rep.attach("no deadlock outside invariant", tr)
+			tr, werr := x.Deadlock(ctx, trans, inv, noOut)
+			if werr != nil {
+				return nil, werr
 			}
+			rep.attach("no deadlock outside invariant", tr)
 		}
 		if rep.failed("no livelock outside invariant") {
 			tr, werr := x.Livelock(ctx, trans, inv, cyclic)
@@ -423,51 +321,6 @@ func resultEngine(ctx context.Context, e *program.Engine, res *repair.Result, ba
 	}
 
 	return rep, nil
-}
-
-// bmcParts builds the labeled transition slices for the SAT backend's bounded
-// model checker. The step union mirrors the BDD reach exactly: per-process
-// maximal realizable subsets plus the per-action fault slices. The attribution
-// list additionally carries the anonymous remainder of trans (transitions no
-// single process realizes) so the final step of a ReachTrans query — drawn
-// from the full system relation — still gets a label, matching the witness
-// extractor's partition order (named processes, remainder, named faults).
-func bmcParts(sc *bdd.Scope, c *program.Compiled, procParts []bdd.Node, trans bdd.Node) (steps, attrib []bmc.Part) {
-	m := c.Space.M
-	unionS := sc.Slot(bdd.False)
-	for j, p := range c.Procs {
-		steps = append(steps, bmc.Part{Name: p.Name, Kind: witness.StepProgram, Rel: procParts[j]})
-		unionS.Set(m.Or(unionS.Node(), procParts[j]))
-	}
-	attrib = append(attrib, steps...)
-	if rest := m.Diff(trans, unionS.Node()); rest != bdd.False {
-		attrib = append(attrib, bmc.Part{Kind: witness.StepProgram, Rel: sc.Keep(rest)})
-	}
-	for i, f := range c.FaultParts {
-		name := ""
-		if i < len(c.Def.Faults) {
-			name = c.Def.Faults[i].Name
-		}
-		fp := bmc.Part{Name: name, Kind: witness.StepFault, Rel: f}
-		steps = append(steps, fp)
-		attrib = append(attrib, fp)
-	}
-	return steps, attrib
-}
-
-// bmcDetail renders a BMC verdict for a check's detail column. A passing
-// verdict that only holds up to the depth bound is labeled as such — the
-// check still passes (the differential gate compares OK flags), but the
-// report is honest about the weaker claim.
-func bmcDetail(r *bmc.Result) string {
-	switch {
-	case r.Reachable:
-		return fmt.Sprintf("violated at depth %d", r.Depth)
-	case r.Complete:
-		return fmt.Sprintf("unreachable (search complete at depth %d)", r.Depth)
-	default:
-		return fmt.Sprintf("no violation up to depth %d (bounded)", r.Depth)
-	}
 }
 
 func src(c *program.Compiled, delta bdd.Node) bdd.Node {
