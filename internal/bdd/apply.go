@@ -366,9 +366,14 @@ func (m *Manager) iteStore(f, g, h, res Node) {
 	*e = iteEntry{f: f, g: g, h: h, res: res, epoch: m.cacheEpoch}
 }
 
-func (m *Manager) relLookup(f, g, cube Node) (Node, bool) {
-	e := &m.rel[hash3(uint64(f), uint64(g), uint64(cube))&uint64(len(m.rel)-1)]
-	if e.epoch == m.cacheEpoch && e.f == f && e.g == g && e.cube == cube {
+// relHash mixes a rel-cache key; the op tag rides in f's high word.
+func relHash(op uint32, f, g, cube Node) uint64 {
+	return hash3(uint64(op)<<32|uint64(uint32(f)), uint64(g), uint64(cube))
+}
+
+func (m *Manager) relLookup(op uint32, f, g, cube Node) (Node, bool) {
+	e := &m.rel[relHash(op, f, g, cube)&uint64(len(m.rel)-1)]
+	if e.epoch == m.cacheEpoch && e.op == op && e.f == f && e.g == g && e.cube == cube {
 		m.stats.CacheHits++
 		return e.res, true
 	}
@@ -376,9 +381,9 @@ func (m *Manager) relLookup(f, g, cube Node) (Node, bool) {
 	return 0, false
 }
 
-func (m *Manager) relStore(f, g, cube, res Node) {
-	e := &m.rel[hash3(uint64(f), uint64(g), uint64(cube))&uint64(len(m.rel)-1)]
-	*e = relEntry{f: f, g: g, cube: cube, res: res, epoch: m.cacheEpoch}
+func (m *Manager) relStore(op uint32, f, g, cube, res Node) {
+	e := &m.rel[relHash(op, f, g, cube)&uint64(len(m.rel)-1)]
+	*e = relEntry{f: f, g: g, cube: cube, res: res, op: op, epoch: m.cacheEpoch}
 }
 
 // Restrict computes Coudert–Madre's generalized cofactor f⇓c ("restrict"):

@@ -158,9 +158,11 @@ type unEntry struct {
 	epoch         uint32
 }
 
-// relEntry caches AndExists(f,g,cube) = res.
+// relEntry caches the three-operand quantified products: AndExists,
+// DiffExists, RelNext and RelPrev (quant.go), told apart by op.
 type relEntry struct {
 	f, g, cube, res Node
+	op              uint32
 	epoch           uint32
 }
 
@@ -191,6 +193,12 @@ const (
 	opFromBDD     // param = weight terminal
 	opThreshold   // param = threshold terminal
 	opMinAbstract // param = cube
+	// The quantified products of the rel cache (see relOp for the shifted
+	// ones, whose key also names the permutation).
+	opAndExists
+	opDiffExists
+	opRelNext
+	opRelPrev
 )
 
 const (
@@ -237,15 +245,38 @@ func New() *Manager {
 	return m
 }
 
-// sizeCaches allocates fresh op caches of the given number of slots each,
-// dropping every entry, and sets the live count at which mk next doubles
-// them. Growing inside a recursion is safe: no caller holds a cache entry
-// across mk.
+// sizeCaches allocates op caches of the given number of slots each, moves
+// every current-epoch entry of the old ones into them, and sets the live
+// count at which mk next doubles them. A doubling sends each old slot to
+// one of two new ones, so no kept entry evicts another. Growing inside a
+// recursion is safe: no caller holds a cache entry across mk.
 func (m *Manager) sizeCaches(slots int) {
+	ite, bin, un, rel := m.ite, m.bin, m.un, m.rel
 	m.ite = make([]iteEntry, slots)
 	m.bin = make([]binEntry, slots)
 	m.un = make([]unEntry, slots)
 	m.rel = make([]relEntry, slots)
+	mask := uint64(slots - 1)
+	for _, e := range ite {
+		if e.epoch == m.cacheEpoch {
+			m.ite[hash3(uint64(e.f), uint64(e.g), uint64(e.h))&mask] = e
+		}
+	}
+	for _, e := range bin {
+		if e.epoch == m.cacheEpoch {
+			m.bin[hash3(uint64(e.op), uint64(e.f), uint64(e.g))&mask] = e
+		}
+	}
+	for _, e := range un {
+		if e.epoch == m.cacheEpoch {
+			m.un[hash3(uint64(e.op), uint64(e.f), uint64(e.param))&mask] = e
+		}
+	}
+	for _, e := range rel {
+		if e.epoch == m.cacheEpoch {
+			m.rel[relHash(e.op, e.f, e.g, e.cube)&mask] = e
+		}
+	}
 	m.cacheGrowAt = math.MaxInt64
 	if slots < cacheMaxSlots {
 		m.cacheGrowAt = int64(cacheLoad * slots)

@@ -40,9 +40,33 @@ func cacheSlots(t *testing.T, m *Manager) int {
 	return n
 }
 
+// storeEntries writes one entry per op cache, keyed from base, each with
+// result base+9.
+func storeEntries(m *Manager, base Node) {
+	m.iteStore(base, base+1, base+2, base+9)
+	m.binStore(opAnd, base, base+3, base+9)
+	m.unStore(opExists, base, base+4, base+9)
+	m.relStore(opRelPrev, base, base+5, base+6, base+9)
+}
+
+// lookupEntries reports which of storeEntries(base)'s entries are hits.
+func lookupEntries(m *Manager, base Node) [4]bool {
+	var hit [4]bool
+	var r [4]Node
+	r[0], hit[0] = m.iteLookup(base, base+1, base+2)
+	r[1], hit[1] = m.binLookup(opAnd, base, base+3)
+	r[2], hit[2] = m.unLookup(opExists, base, base+4)
+	r[3], hit[3] = m.relLookup(opRelPrev, base, base+5, base+6)
+	for i := range r {
+		hit[i] = hit[i] && r[i] == base+9
+	}
+	return hit
+}
+
 // TestOpCacheGrowth pins the sizing rule: a manager's op caches start at
 // cacheMinSlots, double only once an allocation pushes the live count past
-// cacheLoad times the slot count, and stop at cacheMaxSlots.
+// cacheLoad times the slot count, and stop at cacheMaxSlots. A doubling
+// keeps the entries of the current epoch and drops those of flushed ones.
 func TestOpCacheGrowth(t *testing.T) {
 	m := New()
 	m.NewVars(8)
@@ -53,9 +77,19 @@ func TestOpCacheGrowth(t *testing.T) {
 	if got := cacheSlots(t, m); got != cacheMinSlots {
 		t.Fatalf("at %d live nodes: %d slots, want %d", m.Size(), got, cacheMinSlots)
 	}
+	const stale, kept = Node(100), Node(200)
+	storeEntries(m, stale)
+	m.FlushCaches()
+	storeEntries(m, kept)
 	allocUntil(m, cacheLoad*cacheMinSlots+1)
 	if got := cacheSlots(t, m); got != 2*cacheMinSlots {
 		t.Fatalf("at %d live nodes: %d slots, want %d", m.Size(), got, 2*cacheMinSlots)
+	}
+	if got := lookupEntries(m, kept); got != [4]bool{true, true, true, true} {
+		t.Fatalf("entries stored before the doubling: ite, bin, un, rel hits %v", got)
+	}
+	if got := lookupEntries(m, stale); got != [4]bool{} {
+		t.Fatalf("entries of a flushed epoch: ite, bin, un, rel hits %v", got)
 	}
 	if m.cacheGrowAt != cacheLoad*2*cacheMinSlots {
 		t.Fatalf("next growth armed at %d live nodes, want %d", m.cacheGrowAt, cacheLoad*2*cacheMinSlots)

@@ -69,11 +69,7 @@ func (m *Manager) existsRec(f, cube Node) Node {
 		return r
 	}
 	nf := m.nodes[f]
-	// Skip cube variables above f's root.
-	c := cube
-	for !m.IsTerminal(c) && m.nodes[c].level < nf.level {
-		c = m.nodes[c].high
-	}
+	c := m.cubeFrom(cube, nf.level)
 	var r Node
 	if c == True {
 		r = f
@@ -105,10 +101,7 @@ func (m *Manager) forallRec(f, cube Node) Node {
 		return r
 	}
 	nf := m.nodes[f]
-	c := cube
-	for !m.IsTerminal(c) && m.nodes[c].level < nf.level {
-		c = m.nodes[c].high
-	}
+	c := m.cubeFrom(cube, nf.level)
 	var r Node
 	if c == True {
 		r = f
@@ -151,18 +144,12 @@ func (m *Manager) andExistsRec(f, g, cube Node) Node {
 	if f > g {
 		f, g = g, f
 	}
-	if r, ok := m.relLookup(f, g, cube); ok {
+	if r, ok := m.relLookup(opAndExists, f, g, cube); ok {
 		return r
 	}
 	nf, ng := m.nodes[f], m.nodes[g]
-	top := nf.level
-	if ng.level < top {
-		top = ng.level
-	}
-	c := cube
-	for !m.IsTerminal(c) && m.nodes[c].level < top {
-		c = m.nodes[c].high
-	}
+	top := min(nf.level, ng.level)
+	c := m.cubeFrom(cube, top)
 	f0, f1 := m.cofactor(f, top)
 	g0, g1 := m.cofactor(g, top)
 	var r Node
@@ -177,7 +164,224 @@ func (m *Manager) andExistsRec(f, g, cube Node) Node {
 	} else {
 		r = m.mk(top, m.andExistsRec(f0, g0, c), m.andExistsRec(f1, g1, c))
 	}
-	m.relStore(f, g, cube, r)
+	m.relStore(opAndExists, f, g, cube, r)
+	return r
+}
+
+// cubeFrom skips the variables of cube above level.
+func (m *Manager) cubeFrom(cube Node, level int32) Node {
+	for cube != True && m.nodes[cube].level < level {
+		cube = m.nodes[cube].high
+	}
+	return cube
+}
+
+// DiffExists computes ∃cube. (f ∧ ¬g), the fused form of
+// Exists(Diff(f, g), cube): neither ¬g nor f ∧ ¬g is built.
+func (m *Manager) DiffExists(f, g, cube Node) Node {
+	m.safe(f, g, cube)
+	return m.keep(m.diffExistsRec(f, g, cube))
+}
+
+func (m *Manager) diffExistsRec(f, g, cube Node) Node {
+	switch {
+	case f == False || g == True || f == g:
+		return False
+	case g == False:
+		return m.existsRec(f, cube)
+	case cube == True:
+		return m.diffRec(f, g)
+	}
+	if r, ok := m.relLookup(opDiffExists, f, g, cube); ok {
+		return r
+	}
+	// f may be True here: its cofactors are True, and the recursion walks g.
+	top := min(m.nodes[f].level, m.nodes[g].level)
+	c := m.cubeFrom(cube, top)
+	f0, f1 := m.cofactor(f, top)
+	g0, g1 := m.cofactor(g, top)
+	var r Node
+	if c != True && m.nodes[c].level == top {
+		rest := m.nodes[c].high
+		lo := m.diffExistsRec(f0, g0, rest)
+		if lo == True {
+			r = True
+		} else {
+			r = m.orRec(lo, m.diffExistsRec(f1, g1, rest))
+		}
+	} else {
+		r = m.mk(top, m.diffExistsRec(f0, g0, c), m.diffExistsRec(f1, g1, c))
+	}
+	m.relStore(opDiffExists, f, g, cube, r)
+	return r
+}
+
+// The shifted relational products. On the Space's interleaved order every
+// next-state variable sits directly below its current-state twin, so
+// renaming between the two moves each node exactly one level. RelNext
+// builds an image's nodes one level up as it goes, and RelPrev reads its
+// target's nodes one level down, instead of building a renamed copy with
+// Replace (Sylvan's relnext and relprev). When sifting has moved a variable
+// away from its twin, the operation computes the composition it stands for
+// instead; both paths give the same node. Each node the shift touches is
+// checked as well — the variable one level away must be its image under
+// the permutation — and the recursion gives up when it is not: a target
+// that is not a state set never takes the shifted path.
+//
+// shiftFail is the result of a recursion that gave up. It is never stored.
+const shiftFail Node = -1
+
+// twinsAdjacent reports whether every pair p swaps sits on adjacent levels,
+// the lower id directly above its twin: the layout the shifted products
+// need.
+func (m *Manager) twinsAdjacent(p *Permutation) bool {
+	for v, w := range p.mapping {
+		if int32(v) < w && m.var2level[w] != m.var2level[v]+1 {
+			return false
+		}
+	}
+	return true
+}
+
+// relOp is the rel-cache tag of a shifted product under p. The result
+// depends on p, so the key names it.
+func relOp(op uint32, p *Permutation) uint32 { return op | uint32(p.id)<<8 }
+
+// RelNext returns Replace(AndExists(f, g, cube), p): for a state set f, a
+// transition relation g over current and next-state bits, cube the
+// current-state bits and p the current/next swap, the image of f under g
+// over current-state bits.
+func (m *Manager) RelNext(f, g, cube Node, p *Permutation) Node {
+	m.safe(f, g, cube)
+	// Decided after the safe point, where a sifting pass may have run.
+	if m.twinsAdjacent(p) {
+		if r := m.relNextRec(f, g, cube, p, relOp(opRelNext, p)); r != shiftFail {
+			return m.keep(r)
+		}
+	}
+	return m.keep(m.replaceRec(m.andExistsRec(f, g, cube), p))
+}
+
+func (m *Manager) relNextRec(f, g, cube Node, p *Permutation, op uint32) Node {
+	switch {
+	case f == False || g == False:
+		return False
+	case f == g:
+		f = True
+	}
+	if f > g {
+		f, g = g, f
+	}
+	if g == True {
+		return True
+	}
+	if r, ok := m.relLookup(op, f, g, cube); ok {
+		return r
+	}
+	top := min(m.nodes[f].level, m.nodes[g].level)
+	c := m.cubeFrom(cube, top)
+	f0, f1 := m.cofactor(f, top)
+	g0, g1 := m.cofactor(g, top)
+	var r Node
+	if c != True && m.nodes[c].level == top {
+		rest := m.nodes[c].high
+		lo := m.relNextRec(f0, g0, rest, p, op)
+		if lo == shiftFail {
+			return lo
+		}
+		r = lo
+		if lo != True {
+			hi := m.relNextRec(f1, g1, rest, p, op)
+			if hi == shiftFail {
+				return hi
+			}
+			r = m.orRec(lo, hi)
+		}
+	} else {
+		// A kept variable's node moves up to its image's level.
+		if m.var2level[p.mapping[m.level2var[top]]] != top-1 {
+			return shiftFail
+		}
+		lo := m.relNextRec(f0, g0, c, p, op)
+		if lo == shiftFail {
+			return lo
+		}
+		hi := m.relNextRec(f1, g1, c, p, op)
+		if hi == shiftFail {
+			return hi
+		}
+		r = m.mk(top-1, lo, hi)
+	}
+	m.relStore(op, f, g, cube, r)
+	return r
+}
+
+// RelPrev returns AndExists(f, Replace(g, p), cube): for a transition
+// relation f, a state set g, cube the next-state bits and p the
+// current/next swap, the preimage of g under f. A target node whose
+// variable's image is not directly below it makes the operation compute
+// the composition instead.
+func (m *Manager) RelPrev(f, g, cube Node, p *Permutation) Node {
+	m.safe(f, g, cube)
+	// Decided after the safe point, where a sifting pass may have run.
+	if m.twinsAdjacent(p) {
+		if r := m.relPrevRec(f, g, cube, p, relOp(opRelPrev, p)); r != shiftFail {
+			return m.keep(r)
+		}
+	}
+	return m.keep(m.andExistsRec(f, m.replaceRec(g, p), cube))
+}
+
+func (m *Manager) relPrevRec(f, g, cube Node, p *Permutation, op uint32) Node {
+	switch {
+	case f == False || g == False:
+		return False
+	case g == True:
+		return m.existsRec(f, cube)
+	}
+	if r, ok := m.relLookup(op, f, g, cube); ok {
+		return r
+	}
+	// g's root stands for its image, one level down.
+	ng := m.nodes[g]
+	gl := ng.level + 1
+	if m.var2level[p.mapping[m.level2var[ng.level]]] != gl {
+		return shiftFail
+	}
+	top := min(m.nodes[f].level, gl)
+	c := m.cubeFrom(cube, top)
+	f0, f1 := m.cofactor(f, top)
+	g0, g1 := g, g
+	if gl == top {
+		g0, g1 = ng.low, ng.high
+	}
+	var r Node
+	if c != True && m.nodes[c].level == top {
+		rest := m.nodes[c].high
+		lo := m.relPrevRec(f0, g0, rest, p, op)
+		if lo == shiftFail {
+			return lo
+		}
+		r = lo
+		if lo != True {
+			hi := m.relPrevRec(f1, g1, rest, p, op)
+			if hi == shiftFail {
+				return hi
+			}
+			r = m.orRec(lo, hi)
+		}
+	} else {
+		lo := m.relPrevRec(f0, g0, c, p, op)
+		if lo == shiftFail {
+			return lo
+		}
+		hi := m.relPrevRec(f1, g1, c, p, op)
+		if hi == shiftFail {
+			return hi
+		}
+		r = m.mk(top, lo, hi)
+	}
+	m.relStore(op, f, g, cube, r)
 	return r
 }
 

@@ -27,9 +27,10 @@ import (
 // program minus one transition, so that the deadlock, livelock and
 // decomposition checks each fail, and the program with every state in its
 // fault-span, whose safety holds only from the invariant. Every witness the
-// verifier attaches must replay through the certificate checker, and a
-// safety counterexample must be as short as the explicit breadth-first
-// search says a violation can be. The unrepaired swap-permutation model adds
+// verifier attaches must replay through the certificate checker, and each
+// failing safety check's counterexample must show its kind of violation as
+// early as the explicit breadth-first search says it can. The unrepaired
+// swap-permutation model adds
 // a deep counterexample of exactly n(n-1)/2 steps.
 func TestExplicitAgrees(t *testing.T) {
 	ctx := context.Background()
@@ -142,9 +143,9 @@ func TestExplicitAgrees(t *testing.T) {
 
 // agree verifies res with the BDD verifier (with witnesses) and the explicit
 // checker, requires check-by-check agreement on name, OK and Warning,
-// certifies every attached witness, pins the safety counterexample's length
-// to the explicit distance, tallies the failed checks and returns the BDD
-// report.
+// certifies every attached witness, pins each safety counterexample's first
+// violation of its check's kind to the explicit distance, tallies the failed
+// checks and returns the BDD report.
 func agree(t *testing.T, sys *explicit.System, res *repair.Result, failures map[string]int) *verify.Report {
 	t.Helper()
 	c := sys.C
@@ -189,37 +190,35 @@ func agree(t *testing.T, sys *explicit.System, res *repair.Result, failures map[
 		}
 	}
 
-	// The verifier attaches the safety counterexample to the first failing
-	// safety check. Its first violation — a bad transition into step i, else
-	// a bad state at step i — must come at the explicit distance of that
-	// kind of violation.
+	// Every failing safety check carries its own counterexample, aimed at
+	// its kind of violation: the trace's first bad state for "no reachable
+	// bad state", its first bad transition (into step i) for "no reachable
+	// bad transition", at the explicit distance of that kind.
 	for _, ck := range rep.Checks {
-		if ck.OK || ck.Name != "no reachable bad state" && ck.Name != "no reachable bad transition" {
+		badState := ck.Name == "no reachable bad state"
+		if ck.OK || !badState && ck.Name != "no reachable bad transition" {
 			continue
 		}
 		if ck.Witness == nil {
 			t.Errorf("failed check %q carries no witness", ck.Name)
-			break
+			continue
 		}
-		steps := ck.Witness.Steps
+		at := -1
 		prev := explicit.State(-1)
-		for i, st := range steps {
+		for i, st := range ck.Witness.Steps {
 			cur := encode(sys, st.State)
-			if i > 0 && sys.BadTrans(explicit.Trans{From: prev, To: cur}) {
-				if want := depth["no reachable bad transition"]; i != want {
-					t.Errorf("%q: counterexample takes a bad transition at step %d, explicit distance %d", ck.Name, i, want)
-				}
-				break
-			}
-			if sys.BadStates[cur] {
-				if want := depth["no reachable bad state"]; i != want {
-					t.Errorf("%q: counterexample reaches a bad state at step %d, explicit distance %d", ck.Name, i, want)
-				}
+			if badState && sys.BadStates[cur] || !badState && i > 0 && sys.BadTrans(explicit.Trans{From: prev, To: cur}) {
+				at = i
 				break
 			}
 			prev = cur
 		}
-		break
+		switch {
+		case at < 0:
+			t.Errorf("%q: counterexample shows no violation of its kind", ck.Name)
+		case at != depth[ck.Name]:
+			t.Errorf("%q: first violation of its kind at step %d, explicit distance %d", ck.Name, at, depth[ck.Name])
+		}
 	}
 	return rep
 }

@@ -211,18 +211,18 @@ func certifyAcyclic(c *Compiled, parts []bdd.Node, region bdd.Node) certVerdict 
 			return certWriteIllegal
 		}
 	}
-	inside := sc.Keep(m.And(region, s.Prime(region)))
 	proj := sc.Slot(bdd.False)
 	z := sc.Slot(bdd.False)
 	for j, p := range parts {
 		if p == bdd.False {
 			continue
 		}
-		proj.Set(m.AndExists(p, inside, c.Procs[j].unreadCube))
+		// region′ is read inside the product, never built.
+		proj.Set(s.AndPrimeExists(m.And(p, region), region, c.Procs[j].unreadCube))
 		// Local GFP over j's readable bits: proj mentions no other variable.
 		z.Set(bdd.True)
 		for {
-			next := m.And(z.Node(), m.AndExists(proj.Node(), s.Prime(z.Node()), s.NextCube()))
+			next := m.And(z.Node(), s.Preimage(z.Node(), proj.Node()))
 			if next == z.Node() {
 				break
 			}
@@ -238,24 +238,25 @@ func certifyAcyclic(c *Compiled, parts []bdd.Node, region bdd.Node) certVerdict 
 // cyclicCorePeel is the greatest fixpoint itself, peeling states without a
 // successor in the set until none is left to peel.
 //
-// The fixpoint runs on the union of the partitions restricted to
-// region × region, computed once up front: the greatest fixpoint peels the
-// set one layer per iteration (a chain of n cells takes ~n iterations), so a
-// single static relation whose relational-product subresults stay cached
-// across iterations beats re-scanning every partition per iteration. The
+// The fixpoint runs on the union of the partitions restricted to sources in
+// region, computed once up front: the greatest fixpoint peels the set one
+// layer per iteration (a chain of n cells takes ~n iterations), so a single
+// static relation whose relational-product subresults stay cached across
+// iterations beats re-scanning every partition per iteration. The
 // restriction is one conjunction on the union, which distributes to the
-// union of the restricted partitions.
+// union of the restricted partitions. Targets need no restriction: every
+// iterate z lies in region, and the preimage of z reads z′ inside the
+// product, so region′ is never built.
 func cyclicCorePeel(c *Compiled, parts []bdd.Node, region bdd.Node) bdd.Node {
 	m := c.Space.M
 	s := c.Space
 	sc := m.Protect()
 	defer sc.Release()
 	sc.Keep(region)
-	inside := sc.Keep(m.And(region, s.Prime(region)))
-	rel := sc.Keep(m.And(m.OrN(parts...), inside))
+	rel := sc.Keep(m.And(m.OrN(parts...), region))
 	z := sc.Slot(region)
 	for {
-		next := m.And(z.Node(), m.AndExists(rel, s.Prime(z.Node()), s.NextCube()))
+		next := m.And(z.Node(), s.Preimage(z.Node(), rel))
 		if next == z.Node() {
 			return z.Node()
 		}

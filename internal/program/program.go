@@ -497,12 +497,14 @@ func (p *CompiledProc) Group(delta bdd.Node) bdd.Node {
 // (∃unread. x ∧ SameUnread) ∧ SameUnread ∧ ValidTrans. W ⊆ R gives
 // WriteOK ⊆ SameUnread, so allowed − cand ⊆ SameUnread and the inner
 // conjunction changes nothing; cand ⊆ SameUnread ∧ ValidTrans, so the outer
-// one removes nothing more from cand. Same set, hence the same node.
+// one removes nothing more from cand. Same set, hence the same node. The
+// quantified difference is one product (bdd.Manager.DiffExists): allowed −
+// cand is never built.
 func (p *CompiledProc) MaxRealizableSubset(delta bdd.Node) bdd.Node {
 	m := p.space.M
 	cand := m.Ref(m.And(delta, p.allowed))
 	defer m.Deref(cand)
-	return m.Diff(cand, m.Exists(m.Diff(p.allowed, cand), p.unreadCube))
+	return m.Diff(cand, m.DiffExists(p.allowed, cand, p.unreadCube))
 }
 
 // Realizable reports whether delta is realizable by process p: write-legal

@@ -236,24 +236,24 @@ func src(c *program.Compiled, delta bdd.Node) bdd.Node {
 }
 
 // srcInto returns the states of from with an edge into to, computed per
-// partition to keep intermediate products small. The relational product is
-// taken against the raw partition (∃next. p ∧ to′ is conjoined with from
+// partition to keep intermediate products small. The preimage is taken
+// against the raw partition (∃next. p ∧ to′ is conjoined with from
 // afterwards — from constrains current-state bits only, so the two forms are
 // equivalent): keeping the static partition as the cached operand lets the
-// AndExists cache carry across fixpoint iterations where only to changes.
+// product cache carry across fixpoint iterations where only to changes.
 func srcInto(c *program.Compiled, parts []bdd.Node, from, to bdd.Node) bdd.Node {
 	m := c.Space.M
 	s := c.Space
 	sc := m.Protect()
 	defer sc.Release()
 	sc.Keep(from)
+	sc.Keep(to)
 	for _, p := range parts {
 		sc.Keep(p)
 	}
-	primed := sc.Keep(s.Prime(to))
 	out := sc.Slot(bdd.False)
 	for _, p := range parts {
-		out.Set(m.Or(out.Node(), m.AndExists(p, primed, s.NextCube())))
+		out.Set(m.Or(out.Node(), s.Preimage(to, p)))
 	}
 	return m.And(from, out.Node())
 }

@@ -207,19 +207,25 @@ func (s *Space) Identity() bdd.Node { return s.identity }
 // versa — the renaming is the involutive neighbour swap).
 func (s *Space) Prime(f bdd.Node) bdd.Node { return s.M.Replace(f, s.swap) }
 
-// Unprime is the inverse of Prime.
-func (s *Space) Unprime(f bdd.Node) bdd.Node { return s.M.Replace(f, s.swap) }
-
 // Image returns the set of states reachable in one step from the given state
-// set via the transition relation.
+// set via the transition relation: (∃cur. states ∧ trans) renamed back to
+// current-state bits, built directly over them (bdd.Manager.RelNext).
 func (s *Space) Image(states, trans bdd.Node) bdd.Node {
-	return s.Unprime(s.M.AndExists(states, trans, s.curCube))
+	return s.M.RelNext(states, trans, s.curCube, s.swap)
 }
 
 // Preimage returns the states that can reach the given state set in one step
-// via the transition relation.
+// via the transition relation: ∃next. trans ∧ states′, with states′ never
+// built (bdd.Manager.RelPrev).
 func (s *Space) Preimage(states, trans bdd.Node) bdd.Node {
-	return s.M.AndExists(trans, s.Prime(states), s.nextCube)
+	return s.AndPrimeExists(trans, states, s.nextCube)
+}
+
+// AndPrimeExists returns ∃cube. rel ∧ states′ for a state set states,
+// without building states′: Preimage with the caller's choice of quantified
+// bits.
+func (s *Space) AndPrimeExists(rel, states, cube bdd.Node) bdd.Node {
+	return s.M.RelPrev(rel, states, cube, s.swap)
 }
 
 // Reachable computes the least fixpoint of states reachable from init via

@@ -81,7 +81,7 @@ func TestPrimeInvolution(t *testing.T) {
 	s := twoCounterSpace(t)
 	x := s.VarByName("x")
 	f := x.EqConst(2)
-	if s.Unprime(s.Prime(f)) != f {
+	if s.Prime(s.Prime(f)) != f {
 		t.Fatal("Prime is not involutive")
 	}
 	// Prime moves support from cur to next levels.

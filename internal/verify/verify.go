@@ -286,16 +286,21 @@ func resultEngine(ctx context.Context, e *program.Engine, res *repair.Result, wi
 	// byte-identical traces regardless of the engine's worker count.
 	if withWitness {
 		x := witness.New(c)
-		if rep.failed("no reachable bad state") || rep.failed("no reachable bad transition") {
-			name := "no reachable bad state"
-			if !rep.failed(name) {
-				name = "no reachable bad transition"
-			}
-			tr, werr := x.Safety(ctx, trans, inv)
+		// Each failing safety check gets its own counterexample, aimed at
+		// its kind of violation.
+		if rep.failed("no reachable bad state") {
+			tr, werr := x.BadState(ctx, trans, inv)
 			if werr != nil {
 				return nil, werr
 			}
-			rep.attach(name, tr)
+			rep.attach("no reachable bad state", tr)
+		}
+		if rep.failed("no reachable bad transition") {
+			tr, werr := x.BadTransition(ctx, trans, inv)
+			if werr != nil {
+				return nil, werr
+			}
+			rep.attach("no reachable bad transition", tr)
 		}
 		if rep.failed("no deadlock outside invariant") {
 			tr, werr := x.Deadlock(ctx, trans, inv, noOut)

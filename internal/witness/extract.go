@@ -202,55 +202,57 @@ func (x *Extractor) tracePath(ctx context.Context, sc *bdd.Scope, init bdd.Node,
 	return x.walkBack(ctx, layers, parts, k, state)
 }
 
-// Safety extracts a safety-violation witness: a computation starting in init
-// that, interleaving trans steps with fault steps, reaches a bad state or
-// executes a bad transition. It returns nil when no violation is reachable
-// (the corresponding check passed).
-func (x *Extractor) Safety(ctx context.Context, trans, init bdd.Node) (*Trace, error) {
+// BadState extracts a witness for a reachable bad state: a computation
+// starting in init that, interleaving trans steps with fault steps, reaches
+// a bad state along a shortest path. It returns nil when no bad state is
+// reachable (the corresponding check passed).
+func (x *Extractor) BadState(ctx context.Context, trans, init bdd.Node) (*Trace, error) {
+	sc := x.c.Space.M.Protect()
+	defer sc.Release()
+	parts := x.parts(sc, trans, true)
+	steps, err := x.tracePath(ctx, sc, init, parts, x.c.BadStates)
+	if err != nil || steps == nil {
+		return nil, err
+	}
+	return &Trace{Kind: KindSafety, Steps: steps,
+		Detail: fmt.Sprintf("reaches a bad state (Sf_bs) after %d step(s)", len(steps)-1)}, nil
+}
+
+// BadTransition extracts a witness for a reachable bad transition: a
+// computation starting in init that, interleaving trans steps with fault
+// steps, reaches a source of a bad transition of the program-or-fault
+// relation along a shortest path, followed by the bad step. It returns nil
+// when no bad transition is reachable (the corresponding check passed).
+func (x *Extractor) BadTransition(ctx context.Context, trans, init bdd.Node) (*Trace, error) {
 	c := x.c
 	s := c.Space
 	m := s.M
 	sc := m.Protect()
 	defer sc.Release()
 	parts := x.parts(sc, trans, true)
-
-	// Sources of bad transitions of the program-or-fault relation.
 	combinedS := sc.Slot(bdd.False)
 	for _, p := range parts {
 		combinedS.Set(m.Or(combinedS.Node(), p.rel))
 	}
 	badStep := sc.Keep(m.And(combinedS.Node(), c.BadTrans))
-	badSrc := m.AndExists(badStep, s.ValidTrans(), s.NextCube())
-	target := sc.Keep(m.Or(c.BadStates, badSrc))
+	badSrc := sc.Keep(m.AndExists(badStep, s.ValidTrans(), s.NextCube()))
 
-	steps, err := x.tracePath(ctx, sc, init, parts, target)
+	steps, err := x.tracePath(ctx, sc, init, parts, badSrc)
 	if err != nil || steps == nil {
 		return nil, err
 	}
-	last := steps[len(steps)-1].State
-	lastBDD := x.stateNode(last)
-	detail := ""
-	if m.And(lastBDD, c.BadStates) != bdd.False {
-		detail = fmt.Sprintf("reaches a bad state (Sf_bs) after %d step(s)", len(steps)-1)
-	} else {
-		// Extend by one bad transition from the final state.
-		ext := false
-		for _, p := range parts {
-			hit := m.And(badStep, m.And(lastBDD, p.rel))
-			if hit == bdd.False {
-				continue
-			}
-			nxt := x.PickState(s.Unprime(m.AndExists(hit, s.ValidTrans(), s.CurCube())))
-			steps = append(steps, Step{Kind: p.kind, By: p.by, State: nxt})
-			ext = true
-			break
+	lastBDD := x.stateNode(steps[len(steps)-1].State)
+	for _, p := range parts {
+		hit := m.And(badStep, m.And(lastBDD, p.rel))
+		if hit == bdd.False {
+			continue
 		}
-		if !ext {
-			return nil, fmt.Errorf("witness: bad-transition source has no bad outgoing step (inconsistent relation)")
-		}
-		detail = fmt.Sprintf("executes a bad transition (Sf_bt) at step %d", len(steps)-1)
+		nxt := x.PickState(s.Image(hit, s.ValidTrans()))
+		steps = append(steps, Step{Kind: p.kind, By: p.by, State: nxt})
+		return &Trace{Kind: KindSafety, Steps: steps,
+			Detail: fmt.Sprintf("executes a bad transition (Sf_bt) at step %d", len(steps)-1)}, nil
 	}
-	return &Trace{Kind: KindSafety, Detail: detail, Steps: steps}, nil
+	return nil, fmt.Errorf("witness: bad-transition source has no bad outgoing step (inconsistent relation)")
 }
 
 // Deadlock extracts a witness for a reachable deadlock: a computation from

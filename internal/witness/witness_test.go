@@ -243,8 +243,11 @@ func TestExtractionHonorsCancellation(t *testing.T) {
 		t.Error("cancelled extraction returned no error")
 	}
 	x := witness.New(c)
-	if _, err := x.Safety(ctx, c.Trans, c.Invariant); err == nil {
-		t.Error("cancelled safety extraction returned no error")
+	if _, err := x.BadState(ctx, c.Trans, c.Invariant); err == nil {
+		t.Error("cancelled bad-state extraction returned no error")
+	}
+	if _, err := x.BadTransition(ctx, c.Trans, c.Invariant); err == nil {
+		t.Error("cancelled bad-transition extraction returned no error")
 	}
 }
 
