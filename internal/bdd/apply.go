@@ -191,6 +191,40 @@ func (m *Manager) diffRec(f, g Node) Node {
 	return r
 }
 
+// AndDiff returns f ∧ g ∧ ¬h as one memoized three-operand recursion:
+// neither f ∧ g nor ¬h is built. It shares the relational-product cache,
+// with h in the cube's place.
+func (m *Manager) AndDiff(f, g, h Node) Node {
+	m.safe(f, g, h)
+	return m.keep(m.andDiffRec(f, g, h))
+}
+
+func (m *Manager) andDiffRec(f, g, h Node) Node {
+	switch {
+	case f == False || g == False || h == True || f == h || g == h:
+		return False
+	case h == False:
+		return m.andRec(f, g)
+	case f == True || f == g:
+		return m.diffRec(g, h)
+	case g == True:
+		return m.diffRec(f, h)
+	}
+	if f > g {
+		f, g = g, f
+	}
+	if r, ok := m.relLookup(opAndDiff, f, g, h); ok {
+		return r
+	}
+	top := min(m.nodes[f].level, m.nodes[g].level, m.nodes[h].level)
+	f0, f1 := m.cofactor(f, top)
+	g0, g1 := m.cofactor(g, top)
+	h0, h1 := m.cofactor(h, top)
+	r := m.mk(top, m.andDiffRec(f0, g0, h0), m.andDiffRec(f1, g1, h1))
+	m.relStore(opAndDiff, f, g, h, r)
+	return r
+}
+
 // Imp returns the implication f ⇒ g.
 func (m *Manager) Imp(f, g Node) Node {
 	m.Ref(g)

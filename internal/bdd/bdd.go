@@ -158,8 +158,9 @@ type unEntry struct {
 	epoch         uint32
 }
 
-// relEntry caches the three-operand quantified products: AndExists,
-// DiffExists, RelNext and RelPrev (quant.go), told apart by op.
+// relEntry caches the three-operand products: AndExists, DiffExists,
+// RelNext and RelPrev (quant.go) and AndDiff (apply.go), told apart by op.
+// AndDiff keeps its third operand in cube.
 type relEntry struct {
 	f, g, cube, res Node
 	op              uint32
@@ -193,12 +194,13 @@ const (
 	opFromBDD     // param = weight terminal
 	opThreshold   // param = threshold terminal
 	opMinAbstract // param = cube
-	// The quantified products of the rel cache (see relOp for the shifted
-	// ones, whose key also names the permutation).
+	// The products of the rel cache (see relOp for the shifted ones, whose
+	// key also names the permutation).
 	opAndExists
 	opDiffExists
 	opRelNext
 	opRelPrev
+	opAndDiff // f ∧ g ∧ ¬h
 )
 
 const (

@@ -75,6 +75,46 @@ func TestDiffExistsMatchesComposition(t *testing.T) {
 	}
 }
 
+// TestAndDiffMatchesComposition: the fused f ∧ g ∧ ¬h is the node
+// Diff(And(f, g), h) builds, on random operands with the terminals among
+// them, and with aliased operands (f = g, g = h, f = h) on every eighth
+// draw each.
+func TestAndDiffMatchesComposition(t *testing.T) {
+	const nvars = 10
+	rng := rand.New(rand.NewSource(25))
+	m := New()
+	m.NewVars(nvars)
+	pool := []Node{False, True}
+	for i := 0; i < nvars; i++ {
+		pool = append(pool, m.Ref(m.Var(i)))
+	}
+	for len(pool) < 120 {
+		pool = append(pool, m.Ref(randFormula(rng, len(pool), nvars)(m, pool)))
+	}
+	aliased := 0
+	for iter := 0; iter < 1200; iter++ {
+		f, g, h := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+		switch iter % 8 {
+		case 1:
+			g = f
+		case 3:
+			h = g
+		case 5:
+			h = f
+		}
+		if f == g || g == h || f == h {
+			aliased++
+		}
+		got := m.AndDiff(f, g, h)
+		if want := m.Diff(m.And(f, g), h); got != want {
+			t.Fatalf("iter %d: AndDiff(%d, %d, %d) = %d, Diff(And) = %d", iter, f, g, h, got, want)
+		}
+	}
+	if aliased == 0 {
+		t.Fatal("no aliased operands drawn")
+	}
+}
+
 // TestShiftedProductsMatchComposition: on the interleaved order RelNext is
 // the node Replace(AndExists(f, g, cur), swap) builds and RelPrev the node
 // AndExists(f, Replace(g, swap), next) builds, for random operands. A state
@@ -116,7 +156,8 @@ func TestShiftedProductsMatchComposition(t *testing.T) {
 // TestRelProductsKeepSeparateCacheKeys runs one operand triple through every
 // product of the shared relational-product cache back to back, then checks
 // each result against its composed reference computed from flushed caches.
-// An op whose key lacked its tag would return another op's entry.
+// An op whose key lacked its tag would return another op's entry. AndDiff
+// takes the cube as its third operand, so its key is the same triple.
 func TestRelProductsKeepSeparateCacheKeys(t *testing.T) {
 	const pairs = 5
 	rng := rand.New(rand.NewSource(23))
@@ -133,6 +174,7 @@ func TestRelProductsKeepSeparateCacheKeys(t *testing.T) {
 			m.DiffExists(f, g, cube),
 			m.RelNext(f, g, cube, swap),
 			m.RelPrev(f, g, cube, swap),
+			m.AndDiff(f, g, cube),
 		}
 		for _, r := range got {
 			m.Ref(r)
@@ -143,8 +185,9 @@ func TestRelProductsKeepSeparateCacheKeys(t *testing.T) {
 			m.Exists(m.Diff(f, g), cube),
 			m.Replace(m.Exists(m.And(f, g), cube), swap),
 			m.Exists(m.And(f, m.Replace(g, swap)), cube),
+			m.Diff(m.And(f, g), cube),
 		}
-		for i, name := range []string{"AndExists", "DiffExists", "RelNext", "RelPrev"} {
+		for i, name := range []string{"AndExists", "DiffExists", "RelNext", "RelPrev", "AndDiff"} {
 			if got[i] != want[i] {
 				t.Fatalf("iter %d: %s = %d, reference %d", iter, name, got[i], want[i])
 			}

@@ -31,7 +31,8 @@ import (
 // failing safety check's counterexample must show its kind of violation as
 // early as the explicit breadth-first search says it can. The unrepaired
 // swap-permutation model adds
-// a deep counterexample of exactly n(n-1)/2 steps.
+// a deep counterexample of exactly n(n-1)/2 steps, and the unrepaired
+// two-fault model one that only its last-declared fault action can produce.
 func TestExplicitAgrees(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -125,7 +126,28 @@ func TestExplicitAgrees(t *testing.T) {
 			t.Errorf("safety counterexample takes %d steps, want %d", got, n*(n-1)/2)
 		}
 	})
-	if ran < len(cases)+1 {
+	// Two faults, unrepaired: the bad set lies one step of the last-declared
+	// fault away, and the other fault cannot lead there. An extractor that
+	// lost a fault action finds no counterexample, which agree reports.
+	t.Run("twofaults", func(t *testing.T) {
+		ran++
+		c, err := twoFaultsDef().Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := explicit.FromCompiled(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := safetyWitness(agree(t, sys, original(c), failures))
+		if tr == nil {
+			t.Fatal("no safety counterexample")
+		}
+		if last := tr.Steps[len(tr.Steps)-1]; last.Kind != witness.StepFault || last.By != "corrupt" {
+			t.Errorf("safety counterexample ends with a %s step by %q, want the fault corrupt", last.Kind, last.By)
+		}
+	})
+	if ran < len(cases)+2 {
 		return
 	}
 	for _, name := range []string{
@@ -301,4 +323,29 @@ func swapDef(n int) *program.Def {
 	d.Invariant = expr.And(identity...)
 	d.BadStates = expr.And(reversed...)
 	return d
+}
+
+// twoFaultsDef builds a model with two fault actions of which only the
+// last-declared one reaches the bad set: nudge moves x off the invariant,
+// which reset repairs, and corrupt sets y, the bad state, which fix
+// repairs. Both faults are enabled in the invariant x = y = 0.
+func twoFaultsDef() *program.Def {
+	return &program.Def{
+		Name: "two-faults",
+		Vars: []symbolic.VarSpec{{Name: "x", Domain: 2}, {Name: "y", Domain: 2}},
+		Processes: []*program.Process{
+			{Name: "p", Read: []string{"x", "y"}, Write: []string{"x"}, Actions: []program.Action{
+				{Name: "reset", Guard: expr.Eq("x", 1), Updates: []program.Update{program.Set("x", 0)}},
+			}},
+			{Name: "q", Read: []string{"y"}, Write: []string{"y"}, Actions: []program.Action{
+				{Name: "fix", Guard: expr.Eq("y", 1), Updates: []program.Update{program.Set("y", 0)}},
+			}},
+		},
+		Faults: []program.Action{
+			{Name: "nudge", Guard: expr.Eq("x", 0), Updates: []program.Update{program.Set("x", 1)}},
+			{Name: "corrupt", Guard: expr.Eq("y", 0), Updates: []program.Update{program.Set("y", 1)}},
+		},
+		Invariant: expr.And(expr.Eq("x", 0), expr.Eq("y", 0)),
+		BadStates: expr.Eq("y", 1),
+	}
 }

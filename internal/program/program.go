@@ -497,14 +497,14 @@ func (p *CompiledProc) Group(delta bdd.Node) bdd.Node {
 // (∃unread. x ∧ SameUnread) ∧ SameUnread ∧ ValidTrans. W ⊆ R gives
 // WriteOK ⊆ SameUnread, so allowed − cand ⊆ SameUnread and the inner
 // conjunction changes nothing; cand ⊆ SameUnread ∧ ValidTrans, so the outer
-// one removes nothing more from cand. Same set, hence the same node. The
-// quantified difference is one product (bdd.Manager.DiffExists): allowed −
-// cand is never built.
+// one removes nothing more from cand. Same set, hence the same node.
+//
+// cand itself is never built: allowed ∧ ¬(delta ∧ allowed) = allowed ∧
+// ¬delta, so the result is delta ∧ allowed ∧ ¬∃unread.(allowed ∧ ¬delta),
+// two fused products (bdd.Manager.DiffExists, then AndDiff).
 func (p *CompiledProc) MaxRealizableSubset(delta bdd.Node) bdd.Node {
 	m := p.space.M
-	cand := m.Ref(m.And(delta, p.allowed))
-	defer m.Deref(cand)
-	return m.Diff(cand, m.DiffExists(p.allowed, cand, p.unreadCube))
+	return m.AndDiff(delta, p.allowed, m.DiffExists(p.allowed, delta, p.unreadCube))
 }
 
 // Realizable reports whether delta is realizable by process p: write-legal
@@ -626,10 +626,12 @@ func (p *CompiledProc) GroupExpand(classPred bdd.Node) bdd.Node {
 // realizable transition sets.
 func (c *Compiled) ProgramRealizable(delta bdd.Node) bool {
 	m := c.Space.M
-	d := m.And(delta, c.Space.ValidTrans())
-	union := bdd.False
+	sc := m.Protect()
+	defer sc.Release()
+	d := sc.Keep(m.And(delta, c.Space.ValidTrans()))
+	union := sc.Slot(bdd.False)
 	for _, p := range c.Procs {
-		union = m.Or(union, p.MaxRealizableSubset(d))
+		union.Set(m.Or(union.Node(), p.MaxRealizableSubset(d)))
 	}
-	return m.Implies(d, union)
+	return m.Implies(d, union.Node())
 }

@@ -294,6 +294,39 @@ func TestMaxRealizableSubsetIsMaximal(t *testing.T) {
 	}
 }
 
+// TestProgramRealizableKeepsItsRelation: ProgramRealizable holds delta ∧
+// ValidTrans and the running union across several public operations per
+// process. A hundred identical processes of x answer from the caches and
+// only push the 256-entry recent-results ring, until the relation has left
+// it; the processes of y and z then allocate, so with a collection at
+// every safe point an unrooted relation is freed, its slot reused, and the
+// check runs on another function. Every process writes one variable: a
+// transition that moves two is realizable by none of them, on a fresh
+// manager and under collection alike.
+func TestProgramRealizableKeepsItsRelation(t *testing.T) {
+	d := &Def{Name: "one-writer-per-variable", Invariant: expr.True}
+	for _, v := range []string{"x", "y", "z"} {
+		d.Vars = append(d.Vars, symbolic.VarSpec{Name: v, Domain: 3})
+	}
+	for i := 0; i < 100; i++ {
+		d.Processes = append(d.Processes, &Process{Name: fmt.Sprintf("px%d", i), Read: []string{"x"}, Write: []string{"x"}})
+	}
+	for _, v := range []string{"y", "z"} {
+		d.Processes = append(d.Processes, &Process{Name: "p" + v, Read: []string{v}, Write: []string{v}})
+	}
+	for _, threshold := range []int64{0, 1} {
+		c := d.MustCompile()
+		m := c.Space.M
+		m.SetGCThreshold(threshold)
+		moves := m.Ref(m.Not(c.Space.Identity()))
+		if c.ProgramRealizable(moves) {
+			t.Errorf("GC threshold %d: every non-stutter transition is program-realizable, "+
+				"though no process writes two variables", threshold)
+		}
+		m.Deref(moves)
+	}
+}
+
 func TestDescribeActions(t *testing.T) {
 	d := figure345Def()
 	d.Processes[0].Actions = []Action{{

@@ -284,7 +284,7 @@ func rankViolations(c *program.Compiled, parts []bdd.Node, realized, invariant, 
 		if newly == bdd.False {
 			break
 		}
-		badS.Set(m.Or(badS.Node(), m.AndN(realized, newly, m.Not(s.Prime(ranked.Node())))))
+		badS.Set(m.Or(badS.Node(), m.AndDiff(realized, newly, s.Prime(ranked.Node()))))
 		ranked.Set(m.Or(ranked.Node(), newly))
 		remaining.Set(m.Diff(remaining.Node(), newly))
 	}

@@ -340,18 +340,28 @@ func LayeredRecovery(c *program.Compiled, invariant, span, avail bdd.Node, avail
 
 	acyclic := sc.Keep(m.Diff(outside, z))
 	recS := sc.Slot(m.And(avail, acyclic)) // keep everything from acyclic states
-	rankedS := sc.Slot(m.Or(invariant, acyclic))
+	// The ranked states are always all = invariant ∪ span minus the
+	// remaining ones: they start as invariant ∪ acyclic, z ⊆ outside, and
+	// each layer moves its states from one set to the other. So the layer
+	// avail ∧ remaining ∧ ranked′ is into ∧ remaining ∧ ¬remaining′, one
+	// three-operand product, with into = avail ∧ all′ fixed for the loop
+	// (avail itself when, as in AddMasking, avail ends inside the span) and
+	// built only when there is a layer to build.
+	all := sc.Keep(m.Or(invariant, span))
+	into := bdd.False
+	if z != bdd.False {
+		into = sc.Keep(m.And(avail, s.Prime(all)))
+	}
 	remaining := sc.Slot(z)
 	stepS := sc.Slot(bdd.False)
 	for remaining.Node() != bdd.False {
-		step := stepS.Set(m.AndN(avail, remaining.Node(), s.Prime(rankedS.Node())))
+		step := stepS.Set(m.AndDiff(into, remaining.Node(), s.Prime(remaining.Node())))
 		newly := src(c, step)
 		if newly == bdd.False {
 			break // leftover states cannot recover; caller prunes them
 		}
 		recS.Set(m.Or(recS.Node(), step))
-		rankedS.Set(m.Or(rankedS.Node(), newly))
 		remaining.Set(m.Diff(remaining.Node(), newly))
 	}
-	return recS.Node(), rankedS.Node()
+	return recS.Node(), m.Diff(all, remaining.Node())
 }

@@ -176,15 +176,15 @@ func resultEngine(ctx context.Context, e *program.Engine, res *repair.Result, wi
 	// --- problem-statement conditions (Section II) -----------------------
 	rep.add("invariant nonempty", inv != bdd.False, "")
 	rep.add("invariant subset of original", m.Implies(inv, c.Invariant), "S' ⊆ S")
-	newBehavior := m.AndN(trans, inv, s.Prime(inv), m.Not(c.Trans))
+	newBehavior := m.AndDiff(m.And(trans, inv), s.Prime(inv), c.Trans)
 	rep.add("no new behavior inside invariant", newBehavior == bdd.False, "δ'|S' ⊆ δ|S'")
 
 	// --- closure ----------------------------------------------------------
-	escInv := m.AndN(trans, inv, m.Not(s.Prime(inv)))
+	escInv := m.AndDiff(trans, inv, s.Prime(inv))
 	rep.add("invariant closed in program", escInv == bdd.False, "")
 	rep.add("invariant inside fault-span", m.Implies(inv, span), "S' ⊆ T'")
 	combined := sc.Keep(m.Or(trans, c.Fault))
-	escSpan := m.AndN(combined, span, m.Not(s.Prime(span)))
+	escSpan := m.AndDiff(combined, span, s.Prime(span))
 	rep.add("fault-span closed in program∪fault", escSpan == bdd.False, "")
 
 	// --- safety under faults ----------------------------------------------

@@ -461,7 +461,7 @@ func (x *Extractor) recovery(ctx context.Context, progParts, faultParts []part, 
 	// Departure: the chosen fault's one-step exits from the invariant, then
 	// further fault drift within the span, layer by layer (capped — see
 	// maxDemoDrift).
-	entry := sc.Keep(m.AndN(s.Image(inv, c.FaultParts[faultIndex]), m.Not(inv), span))
+	entry := sc.Keep(m.AndDiff(s.Image(inv, c.FaultParts[faultIndex]), span, inv))
 	if entry == bdd.False {
 		// The fault cannot leave the invariant. If it is enabled there at
 		// all, that containment is itself the strongest demonstration: the
@@ -480,7 +480,7 @@ func (x *Extractor) recovery(ctx context.Context, progParts, faultParts []part, 
 		for _, p := range faultParts {
 			next = m.Or(next, s.Image(frontier, p.rel))
 		}
-		next = m.AndN(m.Diff(next, outReachedS.Node()), m.Not(inv), span)
+		next = m.AndDiff(m.Diff(next, outReachedS.Node()), span, inv)
 		if next == bdd.False {
 			break
 		}
