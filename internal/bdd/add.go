@@ -139,8 +139,8 @@ func (m *Manager) addConst(v int64) Node {
 		m.gcPending = true
 		m.budgetHit = true
 	}
-	if uint64(live)*4 > uint64(len(m.unique))*3 {
-		m.growUnique(uint64(len(m.unique)) * 2)
+	if live > m.uniqueAt {
+		m.uniqueFull()
 	}
 	if m.addTerm == nil {
 		m.addTerm = make(map[int64]Node)

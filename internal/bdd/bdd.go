@@ -45,9 +45,13 @@ type Manager struct {
 	nodes []node // index = Node; 0 and 1 are terminals
 
 	// unique is an open-addressed hash table mapping (level,low,high) to the
-	// node index, guaranteeing structural sharing (hash-consing).
-	unique     []Node // 0 means empty slot
-	uniqueMask uint64
+	// node index, guaranteeing structural sharing (hash-consing). uniqueAt is
+	// the live count past which mk acts on it (see uniqueFull in gc.go).
+	unique       []Node // 0 means empty slot
+	uniqueMask   uint64
+	uniqueAt     int64
+	crossPending bool // the table crossed its load limit; collect at the next safe point
+	skipCross    bool // the last crossing collection freed under a quarter; the next crossing grows
 
 	numVars int
 
@@ -134,8 +138,10 @@ type Stats struct {
 
 // Cache entries carry the epoch they were written in; an entry whose epoch
 // differs from the manager's current one is a miss. FlushCaches bumps the
-// epoch, invalidating every cache in O(1) — essential now that the collector
-// flushes after every sweep.
+// epoch, invalidating every cache in O(1) — essential now that cadence,
+// budget and explicit collections flush after every sweep. A collection at
+// the unique table's load limit instead prunes: it zeroes the epoch of each
+// entry that names a freed node (pruneCaches in gc.go).
 
 // iteEntry caches ITE(f,g,h) = res.
 type iteEntry struct {
@@ -150,8 +156,9 @@ type binEntry struct {
 	epoch     uint32
 }
 
-// unEntry caches unary-with-parameter operations: exists, forall, replace,
-// restrictSupport. param is a cube node or a permutation id.
+// unEntry caches unary-with-parameter operations. param is a node (a cube
+// or an ADD terminal) or a plain number (Not's 0, a cofactor level, a
+// permutation id); unParamNode in gc.go says which.
 type unEntry struct {
 	f, param, res Node
 	op            uint32
@@ -212,6 +219,15 @@ const (
 	cacheMaxSlots = 1 << 20
 	cacheLoad     = 8
 
+	// The unique table's load limit, as a fraction of its slots: an
+	// allocation past it arms a collection (or grows the table; see
+	// uniqueFull). While a collection is armed, mk grows the table by itself
+	// past the hard ceiling uniqueCeilNum/uniqueLoadDen, which one long
+	// recursion can reach before its safe point.
+	uniqueLoadNum = 6
+	uniqueCeilNum = 7
+	uniqueLoadDen = 8
+
 	// The node table starts with room for initialNodeCap nodes (6 MB) and
 	// grows by append. Go zeroes the whole capacity whenever it hands a
 	// manager memory a collected one used, so every job pays for what it
@@ -231,9 +247,9 @@ func New() *Manager {
 	m.cacheEpoch = 1
 	m.nodes[False] = node{level: terminalLevel, low: False, high: False}
 	m.nodes[True] = node{level: terminalLevel, low: True, high: True}
-	// The unique table starts small; the load-factor check in mk grows it
-	// with the live-node count. It never shrinks: the collector rebuilds it
-	// in place over the survivors at the same capacity.
+	// The unique table starts small and grows with the live-node count: a
+	// crossing of its load limit in mk collects first and doubles only what
+	// the survivors still fill (uniqueFull, collect). It never shrinks.
 	m.growUnique(1 << 14)
 	m.stats.PeakLive = 2
 	m.gcThreshold = defaultGCThreshold
@@ -429,8 +445,8 @@ func (m *Manager) mk(level int32, low, high Node) Node {
 	if live > m.cacheGrowAt {
 		m.sizeCaches(2 * len(m.bin))
 	}
-	if uint64(live)*4 > uint64(len(m.unique))*3 {
-		m.growUnique(uint64(len(m.unique)) * 2)
+	if live > m.uniqueAt {
+		m.uniqueFull()
 	}
 	return idx
 }
@@ -438,7 +454,15 @@ func (m *Manager) mk(level int32, low, high Node) Node {
 // growUnique rebuilds the unique table with the given capacity (power of 2).
 func (m *Manager) growUnique(capacity uint64) {
 	m.unique = make([]Node, capacity)
+	m.rehashUnique()
+}
+
+// rehashUnique hashes every live node into the unique table, which must be
+// empty, and sets the load limit past which mk next acts on it.
+func (m *Manager) rehashUnique() {
+	capacity := uint64(len(m.unique))
 	m.uniqueMask = capacity - 1
+	m.uniqueAt = int64(capacity * uniqueLoadNum / uniqueLoadDen)
 	for i := 2; i < len(m.nodes); i++ {
 		n := &m.nodes[i]
 		if n.level == freeLevel {
@@ -455,9 +479,9 @@ func (m *Manager) growUnique(capacity uint64) {
 // FlushCaches drops all memoized operation results — the direct-mapped ITE,
 // binary, unary and relational-product caches plus the sat-count memo. Node
 // storage is kept. Useful between phases of a long-running synthesis to
-// bound cache staleness; the collector also calls it after every sweep,
-// because the caches key on raw node indices that may alias once slots are
-// reused.
+// bound cache staleness; every collection but a crossing one also calls it
+// after its sweep, because the caches key on raw node indices that may alias
+// once slots are reused.
 func (m *Manager) FlushCaches() {
 	m.cacheEpoch++
 	if m.cacheEpoch == 0 {

@@ -3,7 +3,9 @@ package bdd
 // This file implements node lifetime management: an explicit rooting API
 // (Ref/Deref, Rooted handles, Protect scopes), a mark-and-sweep garbage
 // collector over the node table, automatic triggering at operation safe
-// points, and a node budget that turns unbounded growth into a typed error.
+// points (on an allocation cadence and when the unique table crosses its
+// load limit), and a node budget that turns unbounded growth into a typed
+// error.
 //
 // Lifetime contract. A Node stays valid across a collection iff it is
 // reachable from a root at collection time. Roots are:
@@ -192,11 +194,16 @@ func (s *Scope) Release() {
 
 // SetGCThreshold arms automatic collection: once n nodes have been
 // allocated since the last collection, the next operation safe point
-// collects. n <= 0 disables automatic GC (explicit GC() still works).
+// collects. n <= 0 disables automatic GC (explicit GC() still works),
+// collections at the unique table's load limit included: the table then
+// doubles there, grow-only.
 func (m *Manager) SetGCThreshold(n int64) {
 	m.gcThreshold = n
 	if n > 0 && m.allocSince >= n {
 		m.gcPending = true
+	}
+	if n <= 0 && m.crossPending {
+		m.uniqueFull() // grow-only: the armed crossing grows the table now
 	}
 }
 
@@ -225,18 +232,22 @@ func (m *Manager) keep(r Node) Node {
 // public operation. The operands are temporarily rooted so the operation
 // about to run cannot lose them; unused operand positions are passed as
 // terminals. A pending sifting pass subsumes a pending collection (it
-// collects at both session boundaries). After a budget-triggered collection
-// that still leaves the manager over budget, safe panics with *BudgetError.
+// collects at both session boundaries), and a cadence or budget collection
+// subsumes a crossing one. After a budget-triggered collection that still
+// leaves the manager over budget, safe panics with *BudgetError.
 func (m *Manager) safe(f, g, h Node) {
-	if !m.gcPending && !m.reorderPending {
+	if !m.gcPending && !m.reorderPending && !m.crossPending {
 		return
 	}
 	m.tmpRoots = [3]Node{f, g, h}
-	if m.reorderPending {
+	switch {
+	case m.reorderPending:
 		m.reorderPending = false
 		m.reorderNow()
-	} else {
-		m.collect()
+	case m.gcPending:
+		m.collect(false)
+	default:
+		m.collect(true)
 	}
 	m.tmpRoots = [3]Node{False, False, False}
 	if m.budgetHit {
@@ -250,19 +261,51 @@ func (m *Manager) safe(f, g, h Node) {
 // GC forces a mark-and-sweep collection now. Unrooted nodes are freed into
 // a reuse list, the unique table is rebuilt over the survivors, and all
 // operation caches (and the sat memo) are flushed — they key on raw node
-// indices, which may alias new functions once slots are reused.
+// indices, which may alias new functions once slots are reused. Only a
+// collection the unique table's load limit arms keeps the cache entries
+// whose nodes all survive (see collect).
 func (m *Manager) GC() {
-	m.collect()
+	m.collect(false)
+}
+
+// uniqueFull runs when an allocation pushes the live count past the unique
+// table's limit. Outside grow-only mode (a GC threshold <= 0) the first
+// crossing arms a collection at the next safe point instead of doubling the
+// table — CUDD collects before it resizes a unique subtable — and raises the
+// limit to the hard ceiling, where mk grows the table by itself. A crossing
+// right after a collection that freed under a quarter of the nodes grows at
+// once: the table holds little garbage, and collecting at every doubling
+// would cost more than the doublings.
+func (m *Manager) uniqueFull() {
+	if m.crossPending || m.skipCross || m.gcThreshold <= 0 {
+		m.crossPending, m.skipCross = false, false
+		m.growUnique(2 * uint64(len(m.unique)))
+		return
+	}
+	m.crossPending = true
+	m.uniqueAt = int64(uint64(len(m.unique)) * uniqueCeilNum / uniqueLoadDen)
 }
 
 // collect is the collector: mark from the root set, sweep dead slots onto
-// the free list, rebuild the unique table, flush caches, update counters.
+// the free list, rebuild the unique table, invalidate the op caches, update
+// counters.
+//
+// A collection armed by the unique table's load limit (see uniqueFull)
+// sizes the table: if the survivors still fill more than half of it, the
+// rebuild doubles it, one rehash in all. With prune set — the safe point
+// sets it for that collection alone — it keeps every cache entry whose
+// nodes all survived instead of flushing: survivors keep their indices, so
+// such an entry still names the same functions. The cadence, budget,
+// explicit and sifting collections flush in O(1).
 //
 // The sweep walks the table from the top down so the free list ends ordered
 // by ascending index: allocation after a collection reuses the densest
 // (lowest) slots first, keeping node indices — and therefore every
 // downstream computation — deterministic for a fixed operation sequence.
-func (m *Manager) collect() {
+func (m *Manager) collect(prune bool) {
+	crossing := m.crossPending
+	m.crossPending = false
+	before := m.Size()
 	// Mark phase: bitset over the node table, iterative DAG traversal.
 	words := (len(m.nodes) + 63) / 64
 	if cap(m.markBuf) < words {
@@ -309,7 +352,7 @@ func (m *Manager) collect() {
 	m.freeHead = 0
 	m.freeCnt = 0
 	for i := len(m.nodes) - 1; i >= 2; i-- {
-		if m.markBuf[i>>6]&(1<<(uint(i)&63)) != 0 {
+		if m.marked(Node(i)) {
 			continue
 		}
 		if m.nodes[i].level != freeLevel {
@@ -320,29 +363,32 @@ func (m *Manager) collect() {
 		m.freeCnt++
 	}
 
-	if freed > 0 {
+	capacity := uint64(len(m.unique))
+	if crossing {
+		if uint64(m.Size())*2 > capacity {
+			capacity *= 2
+		}
+		m.skipCross = freed*4 < before
+	}
+	switch {
+	case capacity != uint64(len(m.unique)):
+		m.growUnique(capacity)
+	case freed > 0:
 		// Rebuild the unique table in place over the survivors. (When the
 		// sweep freed nothing, every table entry and cache line still refers
 		// to a live node, so both rebuild and flush can be skipped — the
 		// common case under frequent automatic collections.)
-		for i := range m.unique {
-			m.unique[i] = 0
-		}
-		for i := 2; i < len(m.nodes); i++ {
-			n := &m.nodes[i]
-			if n.level == freeLevel {
-				continue
-			}
-			h := hash3(uint64(n.level), uint64(n.low), uint64(n.high)) & m.uniqueMask
-			for m.unique[h] != 0 {
-				h = (h + 1) & m.uniqueMask
-			}
-			m.unique[h] = Node(i)
-		}
-
-		// The op caches and sat memo hold raw indices into slots that may now
-		// be reused for different functions; flushing them is a soundness
-		// requirement, not an optimization.
+		clear(m.unique)
+		m.rehashUnique()
+	}
+	// The op caches and sat memo hold raw indices into slots that may now be
+	// reused for different functions; dropping every entry that names a
+	// freed slot is a soundness requirement, not an optimization.
+	switch {
+	case freed == 0:
+	case prune:
+		m.pruneCaches()
+	default:
 		m.FlushCaches()
 	}
 
@@ -350,4 +396,56 @@ func (m *Manager) collect() {
 	m.stats.NodesFreed += int64(freed)
 	m.allocSince = 0
 	m.gcPending = false
+}
+
+// marked reports whether the last collection's mark phase reached n.
+func (m *Manager) marked(n Node) bool {
+	return m.markBuf[n>>6]&(1<<(uint(n)&63)) != 0
+}
+
+// unParamNode says which un-cache operations take a node as their
+// parameter: the Exists, Forall and MinAbstract cubes and the ADD terminals
+// of FromBDD and Threshold. The others take Not's 0, the cofactor level or
+// Replace's permutation id, which name no node.
+var unParamNode = [...]bool{
+	opExists:      true,
+	opForall:      true,
+	opFromBDD:     true,
+	opThreshold:   true,
+	opMinAbstract: true,
+}
+
+// pruneCaches drops every current op-cache entry and sat-memo count that
+// names a node the collection just freed, and keeps the rest.
+func (m *Manager) pruneCaches() {
+	epoch := m.cacheEpoch
+	for i := range m.ite {
+		e := &m.ite[i]
+		if e.epoch == epoch && !(m.marked(e.f) && m.marked(e.g) && m.marked(e.h) && m.marked(e.res)) {
+			e.epoch = 0
+		}
+	}
+	for i := range m.bin {
+		e := &m.bin[i]
+		if e.epoch == epoch && !(m.marked(e.f) && m.marked(e.g) && m.marked(e.res)) {
+			e.epoch = 0
+		}
+	}
+	for i := range m.un {
+		e := &m.un[i]
+		if e.epoch == epoch && !(m.marked(e.f) && m.marked(e.res) && (!unParamNode[e.op] || m.marked(e.param))) {
+			e.epoch = 0
+		}
+	}
+	for i := range m.rel {
+		e := &m.rel[i]
+		if e.epoch == epoch && !(m.marked(e.f) && m.marked(e.g) && m.marked(e.cube) && m.marked(e.res)) {
+			e.epoch = 0
+		}
+	}
+	for f := range m.sat {
+		if !m.marked(f) {
+			delete(m.sat, f)
+		}
+	}
 }

@@ -215,7 +215,7 @@ func (m *Manager) reorderNow() {
 		// collect when it has grown the table materially so the size signal
 		// guiding later sifts stays honest.
 		if m.Size() > m.lastCollectSize+m.lastCollectSize/reorderCollectSlack {
-			m.collect()
+			m.collect(false)
 			m.buildReorderLists()
 			m.lastCollectSize = m.Size()
 		}
@@ -279,7 +279,7 @@ func (m *Manager) siftVar(v int32) {
 // beginReorder opens a swap session: collect so the per-level lists hold
 // only live nodes, then index every slot by level.
 func (m *Manager) beginReorder() {
-	m.collect()
+	m.collect(false)
 	m.buildReorderLists()
 	m.lastCollectSize = m.Size()
 }
@@ -349,7 +349,7 @@ func (m *Manager) decEdge(n Node) {
 // else is invalidated wholesale for the same O(1) epoch bump), and reset the
 // trigger counter.
 func (m *Manager) endReorder() {
-	m.collect()
+	m.collect(false)
 	m.FlushCaches()
 	m.allocSinceReorder = 0
 	m.reorderPending = false

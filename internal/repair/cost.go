@@ -230,8 +230,10 @@ func thinRecovery(ctx context.Context, eng *program.Engine, invariant, span, w b
 			}
 			if committed {
 				parts[j] = partSlots[j].Set(trial.Node())
-				opts.logf("lazy: cost thinning: process %s: dropped %g class-%d recovery transition(s)",
-					p.Name, s.CountTransitions(removed.Node()), v)
+				if opts.Logf != nil {
+					opts.logf("lazy: cost thinning: process %s: dropped %g class-%d recovery transition(s)",
+						p.Name, s.CountTransitions(removed.Node()), v)
+				}
 			}
 			isc.Release()
 		}

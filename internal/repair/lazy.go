@@ -87,8 +87,10 @@ func LazyEngine(ctx context.Context, eng *program.Engine, opts Options) (*Result
 		if err != nil {
 			return nil, err
 		}
-		opts.logf("lazy: iteration %d: step 1 done (|S'|=%g, |T'|=%g)",
-			iter, s.CountStates(mask.Invariant), s.CountStates(mask.FaultSpan))
+		if opts.Logf != nil {
+			opts.logf("lazy: iteration %d: step 1 done (|S'|=%g, |T'|=%g)",
+				iter, s.CountStates(mask.Invariant), s.CountStates(mask.FaultSpan))
+		}
 
 		opts.phase("step2")
 		t1 := time.Now()
@@ -197,8 +199,10 @@ func LazyEngine(ctx context.Context, eng *program.Engine, opts Options) (*Result
 			}
 			return res, nil
 		}
-		opts.logf("lazy: iteration %d: %g deadlock state(s); augmenting spec",
-			iter, s.CountStates(dl))
+		if opts.Logf != nil {
+			opts.logf("lazy: iteration %d: %g deadlock state(s); augmenting spec",
+				iter, s.CountStates(dl))
+		}
 		lastDL.Set(dl)
 		lastRealized.Set(realized)
 		lastInv.Set(mask.Invariant)
@@ -230,8 +234,10 @@ func LazyEngine(ctx context.Context, eng *program.Engine, opts Options) (*Result
 		next := isc.Slot(m.Or(badTrans.Node(), escape))
 		if blockers != bdd.False {
 			next.Set(m.Or(next.Node(), m.And(s.Prime(blockers), s.ValidTrans())))
-			opts.logf("lazy: iteration %d: banning entry to %g blocking state(s)",
-				iter, s.CountStates(blockers))
+			if opts.Logf != nil {
+				opts.logf("lazy: iteration %d: banning entry to %g blocking state(s)",
+					iter, s.CountStates(blockers))
+			}
 		}
 		// Transitions Step 2 provably could not realize from the deadlocked
 		// states (e.g. multi-variable jumps whose group twins would be new
