@@ -2,47 +2,32 @@ package repro
 
 import (
 	"context"
-	"fmt"
 	"time"
 
-	"repro/internal/program"
+	"repro/internal/core"
 	"repro/internal/repair"
-	"repro/internal/verify"
-	"repro/internal/witness"
 )
 
-// Algorithm selects the repair algorithm used by Repair.
-type Algorithm int
+// Algorithm selects the repair algorithm used by Repair. Its zero value
+// selects LazyAlg.
+type Algorithm = core.Algorithm
 
 // The implemented repair algorithms.
 const (
 	// LazyAlg is the paper's two-step Algorithm 1: Add-Masking without
 	// realizability constraints, then realizability enforcement by removal,
 	// iterated until no deadlocks remain. The default.
-	LazyAlg Algorithm = iota
+	LazyAlg = core.LazyRepair
 	// CautiousAlg is the baseline that keeps the model realizable at every
 	// intermediate step (Section IV of the paper).
-	CautiousAlg
+	CautiousAlg = core.CautiousRepair
 )
 
-// String returns the algorithm's canonical name ("lazy", "cautious").
-func (a Algorithm) String() string {
-	switch a {
-	case LazyAlg:
-		return "lazy"
-	case CautiousAlg:
-		return "cautious"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
-
-// repairConfig is the resolved configuration of one Repair call.
+// repairConfig is the resolved configuration of one Repair or Verify call:
+// the core job it runs, and the timeout that bounds it.
 type repairConfig struct {
-	alg       Algorithm
-	timeout   time.Duration
-	witnesses int
-	opts      repair.Options
+	job     core.Job
+	timeout time.Duration
 }
 
 // Option configures a Repair call.
@@ -50,7 +35,7 @@ type Option func(*repairConfig)
 
 // WithAlgorithm selects the repair algorithm (default LazyAlg).
 func WithAlgorithm(a Algorithm) Option {
-	return func(c *repairConfig) { c.alg = a }
+	return func(c *repairConfig) { c.job.Algorithm = a }
 }
 
 // EngineConfig consolidates every engine-tuning knob behind one struct: the
@@ -72,15 +57,16 @@ type EngineConfig struct {
 }
 
 // WithEngine applies a full engine configuration. It is the single
-// engine-tuning entry point and it assigns every field, so combine it with
-// other options by placing WithEngine first (like WithOptions). The former
-// per-knob wrappers (WithWorkers, WithNodeBudget, WithReorder) were removed;
-// each one maps to the EngineConfig field of the same name.
+// engine-tuning entry point and it assigns all three engine fields of
+// Options. Options apply in their given order, and WithOptions replaces
+// every field, so place WithOptions first and WithEngine after it. The
+// former per-knob wrappers (WithWorkers, WithNodeBudget, WithReorder) were
+// removed; each one maps to the EngineConfig field of the same name.
 func WithEngine(ec EngineConfig) Option {
 	return func(c *repairConfig) {
-		c.opts.Workers = ec.Workers
-		c.opts.NodeBudget = ec.NodeBudget
-		c.opts.Reorder = ec.Reorder
+		c.job.Options.Workers = ec.Workers
+		c.job.Options.NodeBudget = ec.NodeBudget
+		c.job.Options.Reorder = ec.Reorder
 	}
 }
 
@@ -95,7 +81,7 @@ func WithTimeout(d time.Duration) Option {
 // WithLogf directs the synthesis's progress lines to f (see
 // Options.Logf for the concurrency contract).
 func WithLogf(f func(format string, args ...any)) Option {
-	return func(c *repairConfig) { c.opts.Logf = f }
+	return func(c *repairConfig) { c.job.Options.Logf = f }
 }
 
 // CostModel prices transitions for cost-aware repair; see WithCostModel.
@@ -117,8 +103,8 @@ type CostModel = repair.CostModel
 // `cost` annotations, overridden by cm (see CostModel).
 func WithCostModel(cm CostModel) Option {
 	return func(c *repairConfig) {
-		c.opts.Costs = &cm
-		c.opts.MinimizeCost = true
+		c.job.Options.Costs = &cm
+		c.job.Options.MinimizeCost = true
 	}
 }
 
@@ -129,7 +115,7 @@ func WithCostModel(cm CostModel) Option {
 // witness JSON regardless of the worker count. n ≤ 0 (the default) extracts
 // nothing.
 func WithWitnesses(n int) Option {
-	return func(c *repairConfig) { c.witnesses = n }
+	return func(c *repairConfig) { c.job.Witnesses = n }
 }
 
 // WithOptions replaces the full low-level Options struct (ablations such as
@@ -137,7 +123,7 @@ func WithWitnesses(n int) Option {
 // set by other With* calls apply on top in their given order, so place
 // WithOptions first.
 func WithOptions(o Options) Option {
-	return func(c *repairConfig) { c.opts = o }
+	return func(c *repairConfig) { c.job.Options = o }
 }
 
 // Repair compiles the definition and synthesizes a masking fault-tolerant
@@ -145,62 +131,19 @@ func WithOptions(o Options) Option {
 // algorithm, worker budget, timeout, and logging are all functional options,
 // and the context carries cancellation. With no options it runs the paper's
 // headline configuration (lazy repair, reachability heuristic on, GOMAXPROCS
-// workers).
-func Repair(ctx context.Context, def *Def, opts ...Option) (compiled *Compiled, result *Result, err error) {
-	cfg := repairConfig{opts: repair.DefaultOptions()}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
-		defer cancel()
-	}
-
-	c, err := def.Compile()
+// workers). A node budget set with WithEngine bounds this call only: a blown
+// one fails it with an error wrapping *BudgetError, and it is lifted on
+// return.
+func Repair(ctx context.Context, def *Def, opts ...Option) (*Compiled, *Result, error) {
+	cfg := configure(opts)
+	ctx, cancel := cfg.bound(ctx)
+	defer cancel()
+	cfg.job.Def = def
+	out, err := core.Run(ctx, cfg.job)
 	if err != nil {
 		return nil, nil, err
 	}
-	eng, err := program.NewEngineMode(c, program.Mode(cfg.opts.Mode), cfg.opts.Workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.opts.ApplyEngine(eng)
-	// A blown budget surfaces as a *bdd.BudgetError panic at a collection
-	// safe point; Repair is a run boundary, so it converts the panic back
-	// into an ordinary error unconditionally — a budget can be armed even
-	// when this call didn't set one (WithOptions carrying a budget-bearing
-	// Options value, a stressed manager default).
-	defer func() {
-		if r := recover(); r != nil {
-			be, ok := r.(*BudgetError)
-			if !ok {
-				panic(r)
-			}
-			compiled, result, err = nil, nil, fmt.Errorf("repro: %w", be)
-		}
-	}()
-
-	var res *Result
-	switch cfg.alg {
-	case LazyAlg:
-		res, err = repair.LazyEngine(ctx, eng, cfg.opts)
-	case CautiousAlg:
-		res, err = repair.CautiousEngine(ctx, eng, cfg.opts)
-	default:
-		return nil, nil, fmt.Errorf("repro: unknown algorithm %v", cfg.alg)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if cfg.witnesses > 0 {
-		demos, werr := witness.RecoveryDemos(ctx, c, res.Trans, res.Invariant, res.FaultSpan, cfg.witnesses)
-		if werr != nil {
-			return nil, nil, werr
-		}
-		res.Witnesses = demos
-	}
-	return c, res, nil
+	return out.Compiled, out.Result, nil
 }
 
 // NodeStats reports the node-lifetime counters of a compiled model's BDD
@@ -217,34 +160,28 @@ func NodeStats(c *Compiled) (live, peak, gcRuns, freed int64) {
 // It accepts the same functional options as Repair — WithEngine selects the
 // worker count and node-lifetime knobs of the checking managers, and
 // WithTimeout bounds the checking. Options that only steer synthesis
-// (WithAlgorithm, WithWitnesses, WithCostModel) are accepted and ignored.
-func Verify(ctx context.Context, c *Compiled, res *Result, opts ...Option) (report *Report, err error) {
-	cfg := repairConfig{opts: repair.DefaultOptions()}
+// (WithAlgorithm, WithWitnesses, WithCostModel) are accepted and ignored. A
+// node budget set here bounds this check only, like Repair's.
+func Verify(ctx context.Context, c *Compiled, res *Result, opts ...Option) (*Report, error) {
+	cfg := configure(opts)
+	ctx, cancel := cfg.bound(ctx)
+	defer cancel()
+	return core.Verify(ctx, c, res, cfg.job.Options)
+}
+
+// configure resolves a call's options over the paper's defaults.
+func configure(opts []Option) repairConfig {
+	cfg := repairConfig{job: core.Job{Options: repair.DefaultOptions()}}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
-		defer cancel()
+	return cfg
+}
+
+// bound bounds ctx by the configured timeout, if there is one.
+func (c *repairConfig) bound(ctx context.Context) (context.Context, context.CancelFunc) {
+	if c.timeout > 0 {
+		return context.WithTimeout(ctx, c.timeout)
 	}
-	eng, err := program.NewEngineMode(c, program.Mode(cfg.opts.Mode), cfg.opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	cfg.opts.ApplyEngine(eng)
-	// Verification is a run boundary of its own: a *bdd.BudgetError panic
-	// from c's manager (whose budget may have been armed by the synthesis
-	// that produced res, or by this call's options) must come back as an
-	// error here, not unwind into the caller.
-	defer func() {
-		if r := recover(); r != nil {
-			be, ok := r.(*BudgetError)
-			if !ok {
-				panic(r)
-			}
-			report, err = nil, fmt.Errorf("repro: %w", be)
-		}
-	}()
-	return verify.ResultEngine(ctx, eng, res)
+	return ctx, func() {}
 }

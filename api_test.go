@@ -31,12 +31,12 @@ func TestRepairSingleEntry(t *testing.T) {
 	}
 }
 
+// TestAlgorithmString pins the algorithms' names: Algorithm is core's
+// string type, so the constants are the names the CLI, the daemon and
+// RunReport use.
 func TestAlgorithmString(t *testing.T) {
-	if LazyAlg.String() != "lazy" || CautiousAlg.String() != "cautious" {
+	if LazyAlg != "lazy" || CautiousAlg != "cautious" {
 		t.Fatalf("algorithm names: %q, %q", LazyAlg, CautiousAlg)
-	}
-	if s := Algorithm(7).String(); !strings.Contains(s, "7") {
-		t.Fatalf("unknown algorithm renders as %q", s)
 	}
 }
 
@@ -74,7 +74,9 @@ func TestVerifyOptionsAgree(t *testing.T) {
 
 // TestVerifyBudgetError pins the run-boundary contract on the verification
 // path: a node budget blown while checking must come back as a *BudgetError
-// wrapped in an ordinary error, never as a panic escaping Verify.
+// wrapped in an ordinary error, never as a panic escaping Verify, and the
+// budget must bound only the call that set it — an unbounded Verify on the
+// same compiled program afterwards passes.
 func TestVerifyBudgetError(t *testing.T) {
 	def, _ := CaseStudy("sc", 4)
 	c, res, err := Repair(context.Background(), def)
@@ -88,6 +90,13 @@ func TestVerifyBudgetError(t *testing.T) {
 	}
 	if be.Live <= be.Budget || be.Budget != 16 {
 		t.Fatalf("implausible BudgetError: %+v", be)
+	}
+	rep, err := Verify(context.Background(), c, res)
+	if err != nil {
+		t.Fatalf("unbounded Verify after a bounded one: %v", err)
+	}
+	if !rep.OK() {
+		t.Fatalf("verification failed:\n%s", rep)
 	}
 }
 

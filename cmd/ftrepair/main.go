@@ -57,7 +57,7 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "abort synthesis after this long (0 = no limit)")
 		workers   = flag.Int("workers", 0, "parallel-engine workers for the large per-process closures, each a private BDD manager built on first use (0 = GOMAXPROCS, 1 = serial)")
 		budget    = flag.Int64("node-budget", 0, "fail the run if live BDD nodes exceed this after a collection (0 = unbounded)")
-		reorder   = flag.Int64("reorder", 0, "run a BDD variable-reordering (sifting) pass after this many node allocations (0 = off)")
+		reorder   = flag.Int64("reorder", 0, "run a BDD variable-reordering (sifting) pass after this many node allocations (0 = manager default: off unless REPRO_REORDER_STRESS is set; negative = off, local runs only)")
 		costModel = flag.String("cost-model", "", "price transitions and minimize repair cost: \"default=N,action=W,proc.action=W,...\" (weights override .ftr cost annotations)")
 		server    = flag.String("server", "", "run the job on this ftrepaird base URL instead of in-process")
 	)

@@ -28,20 +28,10 @@ import (
 	"time"
 
 	"repro/internal/casestudies"
+	"repro/internal/core"
 	"repro/internal/program"
 	"repro/internal/repair"
-	"repro/internal/verify"
 )
-
-type row struct {
-	label     string
-	states    float64 // reachable states
-	cautious  time.Duration
-	step1     time.Duration
-	step2     time.Duration
-	ok        bool
-	cautiousS string // rendered cautious cell (may be "—" or ">budget")
-}
 
 func main() {
 	var (
@@ -93,25 +83,17 @@ func sizes(s string) []int {
 	return out
 }
 
-// runOne compiles def in a fresh manager and repairs it with alg on the
-// serial engine, verifying the result. It returns the result and whether
+// runOne repairs def with alg through core.Run on the serial engine,
+// verifying the result when cfg asks. It returns the result and whether
 // verification passed. The paper's tool is sequential, so every cell runs
 // with one worker whatever the host's core count.
-func runOne(cfg config, def *program.Def, alg func(context.Context, *program.Compiled, repair.Options) (*repair.Result, error), opts repair.Options) (*repair.Result, bool, error) {
-	c, err := def.Compile()
-	if err != nil {
-		return nil, false, err
-	}
+func runOne(cfg config, def *program.Def, alg core.Algorithm, opts repair.Options) (*repair.Result, bool, error) {
 	opts.Workers = 1
-	res, err := alg(context.Background(), c, opts)
+	out, err := core.Run(context.Background(), core.Job{Def: def, Algorithm: alg, Options: opts, Verify: cfg.verify})
 	if err != nil {
 		return nil, false, err
 	}
-	ok := true
-	if cfg.verify {
-		ok = verify.Result(c, res).OK()
-	}
-	return res, ok, nil
+	return out.Result, out.Report == nil || out.Report.OK(), nil
 }
 
 func table1(cfg config, ns []int) {
@@ -124,14 +106,14 @@ func table1(cfg config, ns []int) {
 	over := false
 	for _, n := range ns {
 		label := fmt.Sprintf("BA(%d)", n)
-		lazyRes, lazyOK, err := runOne(cfg, casestudies.BA(n), repair.Lazy, repair.DefaultOptions())
+		lazyRes, lazyOK, err := runOne(cfg, casestudies.BA(n), core.LazyRepair, repair.DefaultOptions())
 		if err != nil {
 			fmt.Printf("%-8s  repair failed: %v\n", label, err)
 			continue
 		}
 		cautCell, speedCell, verCell := "skipped", "", okStr(lazyOK)
 		if !over {
-			cautRes, cautOK, err := runOne(cfg, casestudies.BA(n), repair.Cautious, repair.DefaultOptions())
+			cautRes, cautOK, err := runOne(cfg, casestudies.BA(n), core.CautiousRepair, repair.DefaultOptions())
 			if err != nil {
 				cautCell = "failed"
 			} else {
@@ -161,7 +143,7 @@ func table2(cfg config, ns []int) {
 	fmt.Printf("%-8s  %-12s  %-12s  %-12s  %s\n", "", "States", "Lazy Step 1", "Lazy Step 2", "Verified")
 	for _, n := range ns {
 		label := fmt.Sprintf("SC(%d)", n)
-		res, ok, err := runOne(cfg, casestudies.SC(n), repair.Lazy, repair.DefaultOptions())
+		res, ok, err := runOne(cfg, casestudies.SC(n), core.LazyRepair, repair.DefaultOptions())
 		if err != nil {
 			fmt.Printf("%-8s  repair failed: %v\n", label, err)
 			continue
@@ -182,7 +164,7 @@ func table3(cfg config, ns []int) {
 	fmt.Printf("%-10s  %-12s  %-12s  %-12s  %s\n", "", "Reachable", "Lazy Step 1", "Lazy Step 2", "Verified")
 	for _, n := range ns {
 		label := fmt.Sprintf("BAFS(%d)", n)
-		res, ok, err := runOne(cfg, casestudies.BAFS(n), repair.Lazy, repair.DefaultOptions())
+		res, ok, err := runOne(cfg, casestudies.BAFS(n), core.LazyRepair, repair.DefaultOptions())
 		if err != nil {
 			fmt.Printf("%-10s  repair failed: %v\n", label, err)
 			continue
@@ -206,7 +188,7 @@ func table4(cfg config, ns []int) {
 		"", "Default", "PureLazy", "DeferCycles", "Verified")
 	for _, n := range ns {
 		label := fmt.Sprintf("BA(%d)", n)
-		def, defOK, err := runOne(cfg, casestudies.BA(n), repair.Lazy, repair.DefaultOptions())
+		def, defOK, err := runOne(cfg, casestudies.BA(n), core.LazyRepair, repair.DefaultOptions())
 		if err != nil {
 			fmt.Printf("%-8s  repair failed: %v\n", label, err)
 			continue
@@ -214,13 +196,13 @@ func table4(cfg config, ns []int) {
 		pureOpts := repair.DefaultOptions()
 		pureOpts.ReachabilityHeuristic = false
 		pureCell, pureOK := "failed", true
-		if pure, ok, err := runOne(cfg, casestudies.BA(n), repair.Lazy, pureOpts); err == nil {
+		if pure, ok, err := runOne(cfg, casestudies.BA(n), core.LazyRepair, pureOpts); err == nil {
 			pureCell, pureOK = round(pure.Stats.Total), ok
 		}
 		deferOpts := repair.DefaultOptions()
 		deferOpts.DeferCycleBreaking = true
 		deferCell, deferOK := "failed", true
-		if d, ok, err := runOne(cfg, casestudies.BA(n), repair.Lazy, deferOpts); err == nil {
+		if d, ok, err := runOne(cfg, casestudies.BA(n), core.LazyRepair, deferOpts); err == nil {
 			deferCell, deferOK = round(d.Stats.Total), ok
 		}
 		fmt.Printf("%-8s  %-14s  %-14s  %-14s  %s\n",

@@ -33,7 +33,13 @@ const (
 type Job struct {
 	Def       *program.Def
 	Algorithm Algorithm
-	Options   repair.Options
+	// Options configure the synthesis and its engine. Options.Phasef, when
+	// non-nil, receives phase-start notifications as the run advances:
+	// PhaseCompile, then the repair algorithm's own ("step1", "step2" per
+	// outer iteration, "thin" when a costed run thins its recovery), then
+	// PhaseWitness and PhaseVerify when requested. The daemon streams these
+	// to clients; the outcome never depends on them.
+	Options repair.Options
 	// Verify runs the independent checker on the result.
 	Verify bool
 	// Backend must be "" or "bdd" (verify.ParseBackend): BDDs are the only
@@ -46,16 +52,10 @@ type Job struct {
 	// checks (when Verify is also set). Extraction is deterministic, so the
 	// traces are byte-identical across worker counts.
 	Witnesses int
-	// Progress, when non-nil, receives phase-start notifications as the run
-	// advances: PhaseCompile, then PhaseStep1/PhaseStep2 per outer repair
-	// iteration (relayed through Options.Phasef unless the caller set that
-	// hook itself), then PhaseWitness and PhaseVerify when requested. The
-	// daemon streams these to clients; the outcome never depends on them.
-	// Called sequentially from the goroutine running the job.
-	Progress func(phase string)
 }
 
-// The phase names reported through Job.Progress, matching the per-phase
+// The phase names Run reports through Options.Phasef. PhaseStep1 and
+// PhaseStep2 come from the repair algorithms; they match the per-phase
 // counters of RunReport (compile_ns, step1_ns, step2_ns, witness_ns,
 // verify_ns).
 const (
@@ -90,9 +90,8 @@ type Outcome struct {
 	NodesFreed  int64 // nodes reclaimed by the owning manager
 	ReorderRuns int64 // sifting passes run by the owning manager
 
-	// Fixpoint is the unified reachability scheduler's cumulative work
-	// counters (rounds, frontier images, frontier sizes), captured after the
-	// job finishes.
+	// Fixpoint is the reachability fixpoints' cumulative work counters
+	// (rounds and frontier images), captured after the job finishes.
 	Fixpoint program.FixpointStats
 }
 
@@ -100,42 +99,28 @@ type Outcome struct {
 // cancellation aborts the repair algorithms at their next fixpoint-iteration
 // boundary with an error wrapping ctx.Err().
 //
-// One parallel engine (sized by Job.Options.Workers; 0 selects GOMAXPROCS)
-// is built per run and shared between the synthesis and the verifier, so the
-// worker clones, if a fan-out needs them, are compiled once.
+// Run is the one driver of the pipeline: the CLI, the daemon, the repro
+// library and cmd/tables all call it. One parallel engine (sized by
+// Job.Options.Workers; 0 selects GOMAXPROCS) is built per run and shared
+// between the synthesis and the verifier, so the worker clones, if a fan-out
+// needs them, are compiled once.
 func Run(ctx context.Context, job Job) (out *Outcome, err error) {
-	progress := func(phase string) {
-		if job.Progress != nil {
-			job.Progress(phase)
-		}
-	}
-	if job.Options.Phasef == nil {
-		job.Options.Phasef = job.Progress
-	}
-	progress(PhaseCompile)
+	phase(job.Options.Phasef, PhaseCompile)
 	t0 := time.Now()
 	compiled, err := job.Def.Compile()
 	if err != nil {
 		return nil, err
 	}
-	eng, err := program.NewEngineMode(compiled, program.Mode(job.Options.Mode), job.Options.Workers)
+	eng, err := engine(compiled, job.Options)
 	if err != nil {
 		return nil, err
 	}
-	job.Options.ApplyEngine(eng)
-	// A blown budget surfaces as a *bdd.BudgetError panic at a collection
-	// safe point (or pre-converted to an error by the worker pool); convert
-	// it to a clean failure here, the run boundary. The recovery is
-	// unconditional: budgets can be armed below this frame (a manager
-	// carried over from an earlier bounded run), so gating it on this job's
-	// own NodeBudget would let those panics escape.
+	if job.Options.NodeBudget > 0 {
+		defer eng.SetNodeBudget(0)
+	}
 	defer func() {
-		if r := recover(); r != nil {
-			be, ok := r.(*bdd.BudgetError)
-			if !ok {
-				panic(r)
-			}
-			out, err = nil, fmt.Errorf("core: %w", be)
+		if e := budgetError(recover()); e != nil {
+			out, err = nil, e
 		}
 	}()
 	out = &Outcome{Compiled: compiled, CompileTime: time.Since(t0), Workers: eng.Workers()}
@@ -166,7 +151,7 @@ func Run(ctx context.Context, job Job) (out *Outcome, err error) {
 	out.Result = res
 
 	if job.Witnesses > 0 {
-		progress(PhaseWitness)
+		phase(job.Options.Phasef, PhaseWitness)
 		t1 := time.Now()
 		demos, err := witness.RecoveryDemos(ctx, compiled, res.Trans, res.Invariant, res.FaultSpan, job.Witnesses)
 		if err != nil {
@@ -177,7 +162,7 @@ func Run(ctx context.Context, job Job) (out *Outcome, err error) {
 	}
 
 	if job.Verify {
-		progress(PhaseVerify)
+		phase(job.Options.Phasef, PhaseVerify)
 		t1 := time.Now()
 		backend, err := verify.ParseBackend(string(job.Backend))
 		if err != nil {
@@ -191,6 +176,66 @@ func Run(ctx context.Context, job Job) (out *Outcome, err error) {
 		out.VerifyTime = time.Since(t1)
 	}
 	return out, nil
+}
+
+// Verify checks res against the compiled program it was synthesized from,
+// on an engine built and tuned from opts as Run builds its own: opts.Workers
+// sizes it, and opts.NodeBudget and opts.Reorder tune c's managers. The
+// options that steer synthesis are ignored. A blown budget comes back as an
+// error wrapping *bdd.BudgetError, and a budget this call armed is lifted on
+// return, so it bounds this check only.
+func Verify(ctx context.Context, c *program.Compiled, res *repair.Result, opts repair.Options) (rep *verify.Report, err error) {
+	eng, err := engine(c, opts)
+	if err != nil {
+		return nil, err
+	}
+	if opts.NodeBudget > 0 {
+		defer eng.SetNodeBudget(0)
+	}
+	defer func() {
+		if e := budgetError(recover()); e != nil {
+			rep, err = nil, e
+		}
+	}()
+	return verify.ResultBackendEngine(ctx, eng, res, "", false)
+}
+
+// engine builds c's parallel engine and applies opts' manager tuning (node
+// budget, reordering cadence) to it. It is the only place that builds an
+// engine for a run: Run and Verify are the run boundaries.
+func engine(c *program.Compiled, opts repair.Options) (*program.Engine, error) {
+	eng, err := program.NewEngineMode(c, program.Mode(opts.Mode), opts.Workers)
+	if err != nil {
+		return nil, err
+	}
+	opts.ApplyEngine(eng)
+	return eng, nil
+}
+
+// budgetError turns the value of a recover() at a run boundary into an
+// error. A blown budget surfaces as a *bdd.BudgetError panic at a
+// collection safe point (or pre-converted to an error by the worker pool);
+// it becomes an ordinary error, and any other panic propagates. The
+// boundaries recover unconditionally: a budget can be armed below them (a
+// manager whose budget the caller set directly), so gating the recovery on
+// the call's own NodeBudget would let those panics escape.
+func budgetError(r any) error {
+	if r == nil {
+		return nil
+	}
+	be, ok := r.(*bdd.BudgetError)
+	if !ok {
+		panic(r)
+	}
+	return fmt.Errorf("core: %w", be)
+}
+
+// phase reports the start of one of Run's own phases through the
+// Options.Phasef hook f, if set.
+func phase(f func(string), name string) {
+	if f != nil {
+		f(name)
+	}
 }
 
 // CaseStudy builds one of the paper's case studies by name:

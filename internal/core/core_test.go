@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
+	"repro/internal/bdd"
 	"repro/internal/repair"
 )
 
@@ -53,6 +55,85 @@ func TestRunUnknownAlgorithm(t *testing.T) {
 	def, _ := CaseStudy("ba", 2)
 	if _, err := Run(context.Background(), Job{Def: def, Algorithm: "magic"}); err == nil {
 		t.Fatal("unknown algorithm should error")
+	}
+}
+
+// TestRunLiftsItsBudget checks that a node budget bounds only the Run that
+// set it: once Run has returned, the compiled program's manager holds more
+// live nodes than the budget without a *bdd.BudgetError.
+func TestRunLiftsItsBudget(t *testing.T) {
+	def, err := CaseStudy("sc", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := repair.DefaultOptions()
+	opts.NodeBudget = 1 << 13
+	out, err := Run(context.Background(), Job{Def: def, Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("the run's budget outlived it: %v", r)
+		}
+	}()
+	// Root distinct minterms until the live nodes are twice the budget. The
+	// collection cadence and sifting are switched off, so the stress
+	// variables do not make every And a collection; a budget still armed
+	// collects and panics all the same.
+	m := out.Compiled.Space.M
+	m.SetGCThreshold(0)
+	m.SetReorderThreshold(0)
+	for i := 0; m.Size() <= 2*int(opts.NodeBudget); i++ {
+		f := bdd.True
+		for v := 0; v < m.NumVars(); v++ {
+			if i>>v&1 != 0 {
+				f = m.And(f, m.Var(v))
+			} else {
+				f = m.And(f, m.NVar(v))
+			}
+		}
+		m.Ref(f)
+	}
+}
+
+// TestRunPhases pins the phase sequence Run reports through the one
+// progress hook, Options.Phasef: its own compile, witness and verify phases
+// around the repair algorithm's steps, with thinning after Step 2 on a run
+// that minimizes cost.
+func TestRunPhases(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		alg    Algorithm
+		costed bool
+		want   string
+	}{
+		{"ba", 3, LazyRepair, false, "compile step1 step2 witness verify"},
+		{"bafs", 2, LazyRepair, true, "compile step1 step2 thin witness verify"},
+		{"sc", 3, CautiousRepair, false, "compile step1 witness verify"},
+	} {
+		def, err := CaseStudy(tc.name, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := repair.DefaultOptions()
+		if tc.costed {
+			opts.Costs = &repair.CostModel{Default: 1}
+			opts.MinimizeCost = true
+		}
+		var got []string
+		opts.Phasef = func(phase string) { got = append(got, phase) }
+		out, err := Run(context.Background(), Job{Def: def, Algorithm: tc.alg, Options: opts, Verify: true, Witnesses: 2})
+		if err != nil {
+			t.Fatalf("%s(%d) %s: %v", tc.name, tc.n, tc.alg, err)
+		}
+		if !out.Report.OK() {
+			t.Fatalf("%s(%d) %s failed verification:\n%s", tc.name, tc.n, tc.alg, out.Report)
+		}
+		if s := strings.Join(got, " "); s != tc.want {
+			t.Errorf("%s(%d) %s phases = %q, want %q", tc.name, tc.n, tc.alg, s, tc.want)
+		}
 	}
 }
 

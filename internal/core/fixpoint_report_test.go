@@ -25,14 +25,8 @@ func TestFixpointCounters(t *testing.T) {
 	if r.FixImages <= 0 {
 		t.Errorf("FixImages = %d, want > 0", r.FixImages)
 	}
-	if r.FixFrontierPeak <= 0 {
-		t.Errorf("FixFrontierPeak = %d, want > 0", r.FixFrontierPeak)
-	}
-	if r.FixFrontierFinal <= 0 {
-		t.Errorf("FixFrontierFinal = %d, want > 0", r.FixFrontierFinal)
-	}
 	n := r.Normalized()
-	if n.FixRounds != 0 || n.FixImages != 0 || n.FixFrontierPeak != 0 || n.FixFrontierFinal != 0 {
+	if n.FixRounds != 0 || n.FixImages != 0 {
 		t.Errorf("Normalized kept scheduler counters: %+v", n)
 	}
 }

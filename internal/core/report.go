@@ -41,11 +41,9 @@ type RunReport struct {
 
 	// Fixpoint work counters (internal/program's frontier-chained
 	// fixpoint): the reachability fixpoints run (one round each) and their
-	// frontier images, and the peak and final frontier sizes in BDD nodes.
-	FixRounds        int64 `json:"fix_rounds,omitempty"`
-	FixImages        int64 `json:"fix_images,omitempty"`
-	FixFrontierPeak  int64 `json:"fix_frontier_peak,omitempty"`
-	FixFrontierFinal int64 `json:"fix_frontier_final,omitempty"`
+	// frontier images.
+	FixRounds int64 `json:"fix_rounds,omitempty"`
+	FixImages int64 `json:"fix_images,omitempty"`
 
 	CompileNS int64 `json:"compile_ns"`
 	Step1NS   int64 `json:"step1_ns"`
@@ -109,10 +107,8 @@ func NewRunReport(job Job, out *Outcome, caseName string, n int) RunReport {
 		BDDNodesFreed:  out.NodesFreed,
 		BDDReorderRuns: out.ReorderRuns,
 
-		FixRounds:        out.Fixpoint.Rounds,
-		FixImages:        out.Fixpoint.Images,
-		FixFrontierPeak:  out.Fixpoint.PeakFrontier,
-		FixFrontierFinal: out.Fixpoint.FinalFrontier,
+		FixRounds: out.Fixpoint.Rounds,
+		FixImages: out.Fixpoint.Images,
 
 		CompileNS: out.CompileTime.Nanoseconds(),
 		Step1NS:   res.Stats.Step1.Nanoseconds(),
@@ -151,9 +147,9 @@ func (r RunReport) Normalized() RunReport {
 	// reordering cadence exactly like BDDNodes does.
 	r.BDDNodesLive, r.BDDPeakNodes, r.BDDGCRuns, r.BDDNodesFreed = 0, 0, 0, 0
 	r.BDDReorderRuns = 0
-	// Fixpoint work counters: rounds, images, and frontier sizes say how
-	// the fixpoints were computed, not what they are.
-	r.FixRounds, r.FixImages, r.FixFrontierPeak, r.FixFrontierFinal = 0, 0, 0, 0
+	// Fixpoint work counters: rounds and images say how the fixpoints were
+	// computed, not what they are.
+	r.FixRounds, r.FixImages = 0, 0
 	r.CompileNS, r.Step1NS, r.Step2NS, r.TotalNS, r.VerifyNS = 0, 0, 0, 0, 0
 	r.WitnessNS = 0
 	// Witnesses stay: extraction is deterministic, so they are part of the

@@ -88,8 +88,8 @@ func NewEngine(c *Compiled, workers int) (*Engine, error) {
 	return &Engine{C: c, width: ResolveWorkers(workers)}, nil
 }
 
-// NewEngineMode is ParseMode followed by NewEngine. core.Run and the repro
-// API build their engines through it, so repair.Options.Mode is validated;
+// NewEngineMode is ParseMode followed by NewEngine. internal/core builds
+// every run's engine through it, so repair.Options.Mode is validated;
 // bench/trace.go calls it by this name.
 func NewEngineMode(c *Compiled, mode Mode, workers int) (*Engine, error) {
 	if _, err := ParseMode(string(mode)); err != nil {

@@ -34,11 +34,6 @@ type FixpointStats struct {
 	// Images is the number of image/preimage applications (frontier images
 	// only — saturated partitions fire none).
 	Images int64
-	// PeakFrontier is the largest frontier BDD (in nodes) handed to an
-	// image; FinalFrontier is the size of the last non-empty frontier before
-	// convergence.
-	PeakFrontier  int64
-	FinalFrontier int64
 	// OpSpawns is always 0; it remains for bench/trace.go.
 	OpSpawns int64
 	// OpSteals is always 0; it remains for bench/trace.go.
@@ -96,11 +91,6 @@ func chainBlock(ctx context.Context, sp *symbolic.Space, local *bdd.Rooted,
 				if front == bdd.False {
 					break // saturated until another partition adds states
 				}
-				n := int64(m.NodeCount(front))
-				if n > st.PeakFrontier {
-					st.PeakFrontier = n
-				}
-				st.FinalFrontier = n
 				seen[k].Set(local.Node())
 				img := image(sp, front, p, backward)
 				st.Images++

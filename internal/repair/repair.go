@@ -145,9 +145,11 @@ type Options struct {
 	Logf func(format string, args ...any)
 	// Phasef, when non-nil, is called at the start of each synthesis step
 	// ("step1" when Add-Masking begins, "step2" when realization begins —
-	// once per outer iteration). The daemon uses it to feed streaming job
-	// progress; the synthesized result never depends on it. Same
-	// concurrency contract as Logf.
+	// once per outer iteration — and "thin" when a cost-minimizing run thins
+	// its recovery). It is the one progress hook: core.Run reports its own
+	// phases (compile, witness, verify) through it too, and the daemon
+	// streams them to clients. The synthesized result never depends on it.
+	// Same concurrency contract as Logf.
 	Phasef func(phase string)
 }
 

@@ -15,8 +15,9 @@ type Event struct {
 	Seq    int64  `json:"seq"`
 	TimeMS int64  `json:"time_ms"` // wall clock, Unix milliseconds
 	Type   string `json:"type"`    // "state" or "phase"
-	// Phase is a core phase name ("compile", "step1", "step2", "witness",
-	// "verify") on phase events.
+	// Phase is a phase name reported through repair.Options.Phasef
+	// ("compile", "step1", "step2", "thin", "witness", "verify") on phase
+	// events.
 	Phase string `json:"phase,omitempty"`
 	// State is the job's new lifecycle state on state events.
 	State State `json:"state,omitempty"`
@@ -28,9 +29,10 @@ type Event struct {
 // eventLog is a job's append-only progress history plus a broadcast
 // primitive: readers snapshot everything after a cursor and get a channel
 // that closes on the next append. The log is bounded by construction — a
-// job emits a handful of state events and at most two phase events per
-// outer repair iteration (MaxOuterIterations caps those) — so it is never
-// truncated and cursors stay valid for the job's lifetime.
+// job emits a handful of state events, at most two phase events per outer
+// repair iteration (MaxOuterIterations caps those) and four more (compile,
+// thin, witness, verify) — so it is never truncated and cursors stay valid
+// for the job's lifetime.
 type eventLog struct {
 	mu     sync.Mutex
 	events []Event

@@ -75,9 +75,8 @@ type metrics struct {
 
 	// Fixpoint-scheduler work across all finished jobs (the engine's
 	// frontier-chained scheduler; see internal/program).
-	fixRounds       int64
-	fixImages       int64
-	fixFrontierPeak int64 // gauge: largest frontier BDD seen in any job
+	fixRounds int64
+	fixImages int64
 }
 
 func (m *metrics) add(p *int64, v int64) { atomic.AddInt64(p, v) }
@@ -147,7 +146,6 @@ func (m *metrics) write(w io.Writer, s *Service) {
 
 	c("ftrepaird_fixpoint_rounds_total", "Reachability fixpoints (one round each) across finished jobs.", m.get(&m.fixRounds))
 	c("ftrepaird_fixpoint_images_total", "Frontier images computed across finished jobs.", m.get(&m.fixImages))
-	g("ftrepaird_fixpoint_frontier_peak_nodes", "Largest frontier BDD (nodes) observed in any job.", m.get(&m.fixFrontierPeak))
 }
 
 // MetricsSnapshot is the JSON shape of GET /metrics.json: the same counters
@@ -192,9 +190,8 @@ type MetricsSnapshot struct {
 	BDDPeakNodes  int64 `json:"bdd_peak_nodes"`
 	BDDLiveNodes  int64 `json:"bdd_live_nodes"`
 
-	FixRounds       int64 `json:"fix_rounds"`
-	FixImages       int64 `json:"fix_images"`
-	FixFrontierPeak int64 `json:"fix_frontier_peak"`
+	FixRounds int64 `json:"fix_rounds"`
+	FixImages int64 `json:"fix_images"`
 }
 
 // Metrics snapshots the service's counters and gauges.
@@ -242,8 +239,7 @@ func (s *Service) Metrics() MetricsSnapshot {
 		BDDPeakNodes:  m.get(&m.peakNodes),
 		BDDLiveNodes:  m.get(&m.liveNodes),
 
-		FixRounds:       m.get(&m.fixRounds),
-		FixImages:       m.get(&m.fixImages),
-		FixFrontierPeak: m.get(&m.fixFrontierPeak),
+		FixRounds: m.get(&m.fixRounds),
+		FixImages: m.get(&m.fixImages),
 	}
 }

@@ -267,7 +267,7 @@ func (s *Service) SubmitFor(client string, spec Spec) (JobView, error) {
 		cancel()
 	}()
 	j.coreJob.Options.Logf = j.logger.logf
-	j.coreJob.Progress = j.events.phase
+	j.coreJob.Options.Phasef = j.events.phase
 
 	s.mu.Lock()
 	if s.closed {
@@ -440,7 +440,6 @@ func (s *Service) run(j *job) {
 		s.metrics.set(&s.metrics.liveNodes, report.BDDNodesLive)
 		s.metrics.add(&s.metrics.fixRounds, report.FixRounds)
 		s.metrics.add(&s.metrics.fixImages, report.FixImages)
-		s.metrics.maxOf(&s.metrics.fixFrontierPeak, report.FixFrontierPeak)
 		// Publish to the cache BEFORE waking followers and clearing the
 		// in-flight slot, so anyone released by either always finds it.
 		s.cache.Put(j.key, report)

@@ -541,8 +541,34 @@ func TestE2EHTTPSurface(t *testing.T) {
 		t.Fatalf("bad body = %d, want 400", resp.StatusCode)
 	}
 
+	// A finished job's long-poll page lists its phase events in the order
+	// core.Run reported them through Options.Phasef.
+	v, _ := postJob(t, base, Spec{Case: "ba", N: 3, Witnesses: 1})
+	if final := awaitJob(t, base, v.ID, 30*time.Second); final.State != StateDone {
+		t.Fatalf("ba3 job state = %s (%s)", final.State, final.Error)
+	}
+	resp, err = http.Get(base + "/v1/jobs/" + v.ID + "/events?poll=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var page EventsPage
+	err = json.NewDecoder(resp.Body).Decode(&page)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var phases []string
+	for _, e := range page.Events {
+		if e.Type == "phase" {
+			phases = append(phases, e.Phase)
+		}
+	}
+	if got, want := strings.Join(phases, " "), "compile step1 step2 witness verify"; got != want || !page.Done {
+		t.Fatalf("finished job's phase events = %q (done %t), want %q", got, page.Done, want)
+	}
+
 	// Cancel a running job via DELETE.
-	v, _ := postJob(t, base, Spec{Case: "sc", N: 14})
+	v, _ = postJob(t, base, Spec{Case: "sc", N: 14})
 	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+v.ID, nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {

@@ -23,7 +23,8 @@ import (
 
 // Backend names a verification engine. BDDs are the only one, so Backend,
 // ParseBackend and ResultBackendEngine's backend parameter select nothing;
-// they remain only because bench/trace.go and core.Run compile against them.
+// they remain only because bench/trace.go and internal/core compile against
+// them.
 type Backend string
 
 // ParseBackend accepts "" and "bdd" and rejects every other name. Only
@@ -128,33 +129,28 @@ func (r *Report) attach(name string, tr *witness.Trace) {
 }
 
 // Result verifies a repair result against the compiled program it was
-// synthesized from.
+// synthesized from, on the serial engine.
 func Result(c *program.Compiled, res *repair.Result) *Report {
-	rep, _ := ResultEngine(context.Background(), program.SerialEngine(c), res)
+	rep, _ := resultEngine(context.Background(), program.SerialEngine(c), res, false)
 	return rep
 }
 
-// ResultEngine is Result with the per-process predicates (the maximal
-// realizable subsets every safety and realizability check builds on) and the
-// reachability fixpoints fanned out across the engine's workers. The checks
-// themselves are unchanged — canonical BDDs make the fan-out invisible to
-// the verdict. The error is non-nil only on context cancellation.
-func ResultEngine(ctx context.Context, e *program.Engine, res *repair.Result) (*Report, error) {
-	return resultEngine(ctx, e, res, false)
-}
-
-// ResultWitnessEngine is ResultEngine plus witness extraction: every failed
-// check with a trace-shaped failure mode carries a concrete Trace that
-// witness.Certify confirms. Extraction runs serially on the engine's owner
-// manager from the same canonical fixpoint sets the checks computed, so the
-// attached witnesses are byte-identical across worker counts.
+// ResultWitnessEngine verifies res with the per-process predicates (the
+// maximal realizable subsets every safety and realizability check builds on)
+// fanned out across the engine's workers, and attaches witnesses: every
+// failed check with a trace-shaped failure mode carries a concrete Trace
+// that witness.Certify confirms. The checks themselves do not depend on the
+// fan-out — canonical BDDs make it invisible to the verdict. Extraction runs
+// serially on the engine's owner manager from the same canonical fixpoint
+// sets the checks computed, so the attached witnesses are byte-identical
+// across worker counts. The error is non-nil only on context cancellation.
 func ResultWitnessEngine(ctx context.Context, e *program.Engine, res *repair.Result) (*Report, error) {
 	return resultEngine(ctx, e, res, true)
 }
 
-// ResultBackendEngine is ResultWitnessEngine when withWitness is set and
-// ResultEngine otherwise; the backend is ignored. Only bench/trace.go and
-// core.Run call it.
+// ResultBackendEngine is ResultWitnessEngine when withWitness is set and the
+// same checks without witnesses otherwise; the backend is ignored. Only
+// bench/trace.go and internal/core call it.
 func ResultBackendEngine(ctx context.Context, e *program.Engine, res *repair.Result, _ Backend, withWitness bool) (*Report, error) {
 	return resultEngine(ctx, e, res, withWitness)
 }
