@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/program"
 	"repro/internal/repair"
 )
 
@@ -40,11 +41,11 @@ func benchRepair(b *testing.B, caseName string, n int, alg func(*Compiled, Optio
 }
 
 func lazyAlg(c *Compiled, o Options) (*Result, error) {
-	return repair.Lazy(context.Background(), c, o)
+	return repair.LazyEngine(context.Background(), program.NewEngine(c, o.Workers), o)
 }
 
 func cautiousAlg(c *Compiled, o Options) (*Result, error) {
-	return repair.Cautious(context.Background(), c, o)
+	return repair.CautiousEngine(context.Background(), program.NewEngine(c, o.Workers), o)
 }
 
 func BenchmarkTable1BALazy(b *testing.B) {
@@ -84,13 +85,19 @@ func BenchmarkTable2SCStep2(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			mask, err := repair.AddMasking(context.Background(), c, c.Invariant, c.BadTrans, repair.DefaultOptions())
+			ctx := context.Background()
+			e := program.SerialEngine(c)
+			mask, err := repair.AddMaskingEngine(ctx, e, c.Invariant, c.BadTrans, repair.DefaultOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				repair.Realize(c, mask.Trans, mask.FaultSpan)
+				parts, err := repair.RealizePartsEngine(ctx, e, mask.Trans, mask.FaultSpan)
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.Space.M.OrN(parts...)
 			}
 		})
 	}

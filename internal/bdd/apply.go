@@ -419,52 +419,3 @@ func (m *Manager) relStore(op uint32, f, g, cube, res Node) {
 	e := &m.rel[relHash(op, f, g, cube)&uint64(len(m.rel)-1)]
 	*e = relEntry{f: f, g: g, cube: cube, res: res, op: op, epoch: m.cacheEpoch}
 }
-
-// Restrict computes Coudert–Madre's generalized cofactor f⇓c ("restrict"):
-// a function that agrees with f on every assignment satisfying the care-set
-// c and is chosen to have a small BDD elsewhere. Useful to compact
-// predicates that are only ever evaluated under an invariant or a
-// reachable-set constraint. c must not be False.
-func (m *Manager) Restrict(f, c Node) Node {
-	m.safe(f, c, False)
-	return m.keep(m.restrictRec(f, c))
-}
-
-func (m *Manager) restrictRec(f, c Node) Node {
-	switch {
-	case c == True || m.IsTerminal(f):
-		return f
-	case c == False:
-		panic("bdd: Restrict with empty care set")
-	}
-	if r, ok := m.binLookup(opSimplify, f, c); ok {
-		return r
-	}
-	nc := m.nodes[c]
-	nf := m.nodes[f]
-	var r Node
-	switch {
-	case nc.level < nf.level:
-		switch {
-		case nc.low == False:
-			r = m.restrictRec(f, nc.high)
-		case nc.high == False:
-			r = m.restrictRec(f, nc.low)
-		default:
-			r = m.mk(nc.level, m.restrictRec(f, nc.low), m.restrictRec(f, nc.high))
-		}
-	case nc.level == nf.level:
-		switch {
-		case nc.low == False:
-			r = m.restrictRec(nf.high, nc.high)
-		case nc.high == False:
-			r = m.restrictRec(nf.low, nc.low)
-		default:
-			r = m.mk(nf.level, m.restrictRec(nf.low, nc.low), m.restrictRec(nf.high, nc.high))
-		}
-	default:
-		r = m.mk(nf.level, m.restrictRec(nf.low, c), m.restrictRec(nf.high, c))
-	}
-	m.binStore(opSimplify, f, c, r)
-	return r
-}

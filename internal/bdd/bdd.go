@@ -188,7 +188,6 @@ const (
 	opExists
 	opForall
 	opReplace
-	opSimplify
 	opDiff // f ∧ ¬g
 	opCof0 // cofactor w.r.t. the variable at a level (param = level)
 	opCof1

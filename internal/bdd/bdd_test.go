@@ -593,42 +593,3 @@ func TestVarOutOfRangePanics(t *testing.T) {
 	}()
 	m.Var(5)
 }
-
-func TestRestrictAgreesOnCareSet(t *testing.T) {
-	const nvars = 7
-	m := New()
-	m.NewVars(nvars)
-	rng := rand.New(rand.NewSource(55))
-	for iter := 0; iter < 200; iter++ {
-		f := randomFormula(m, rng, nvars, 4)
-		c := randomFormula(m, rng, nvars, 4)
-		if c == False {
-			continue
-		}
-		r := m.Restrict(f, c)
-		tf := truthTable(m, f, nvars)
-		tc := truthTable(m, c, nvars)
-		tr := truthTable(m, r, nvars)
-		for row := range tf {
-			if tc[row] && tr[row] != tf[row] {
-				t.Fatalf("iter %d row %d: Restrict disagrees on the care set", iter, row)
-			}
-		}
-		// Idempotent on the care set and never larger than useful: the
-		// classical size property r = f when c = True.
-		if m.Restrict(f, True) != f {
-			t.Fatal("Restrict with True care set must be identity")
-		}
-	}
-}
-
-func TestRestrictPanicsOnEmptyCareSet(t *testing.T) {
-	m := New()
-	x := m.NewVar("x")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	m.Restrict(x, False)
-}

@@ -57,7 +57,7 @@ var cacheFamilies = []cacheFamily{
 	{
 		name: "bin",
 		ops: map[string]uint32{
-			"And": opAnd, "Or": opOr, "Xor": opXor, "Diff": opDiff, "Restrict": opSimplify,
+			"And": opAnd, "Or": opOr, "Xor": opXor, "Diff": opDiff,
 			"AddPlus": opAddPlus, "AddMin": opAddMin, "AddMax": opAddMax,
 		},
 		node: allNodes(2),

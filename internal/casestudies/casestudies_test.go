@@ -11,14 +11,18 @@ import (
 	"repro/internal/verify"
 )
 
-func repairAndVerify(t *testing.T, d *program.Def, alg func(context.Context, *program.Compiled, repair.Options) (*repair.Result, error)) (*program.Compiled, *repair.Result) {
+func repairAndVerify(t *testing.T, d *program.Def, alg func(context.Context, *program.Engine, repair.Options) (*repair.Result, error)) (*program.Compiled, *repair.Result) {
 	t.Helper()
 	c := d.MustCompile()
-	res, err := alg(context.Background(), c, repair.DefaultOptions())
+	opts := repair.DefaultOptions()
+	res, err := alg(context.Background(), program.NewEngine(c, opts.Workers), opts)
 	if err != nil {
 		t.Fatalf("%s: repair failed: %v", d.Name, err)
 	}
-	rep := verify.Result(c, res)
+	rep, err := verify.Result(context.Background(), program.SerialEngine(c), res, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !rep.OK() {
 		t.Fatalf("%s: verification failed:\n%s", d.Name, rep)
 	}
@@ -26,7 +30,7 @@ func repairAndVerify(t *testing.T, d *program.Def, alg func(context.Context, *pr
 }
 
 func TestBA3LazyVerified(t *testing.T) {
-	c, res := repairAndVerify(t, BA(3), repair.Lazy)
+	c, res := repairAndVerify(t, BA(3), repair.LazyEngine)
 	s := c.Space
 	m := s.M
 
@@ -86,7 +90,7 @@ func TestBA3CautiousVerified(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cautious repair is slow by design")
 	}
-	c, res := repairAndVerify(t, BA(3), repair.Cautious)
+	c, res := repairAndVerify(t, BA(3), repair.CautiousEngine)
 	s := c.Space
 	caseA, err := fullFollow(3).Compile(s)
 	if err != nil {
@@ -99,11 +103,11 @@ func TestBA3CautiousVerified(t *testing.T) {
 }
 
 func TestBA2Lazy(t *testing.T) {
-	repairAndVerify(t, BA(2), repair.Lazy)
+	repairAndVerify(t, BA(2), repair.LazyEngine)
 }
 
 func TestSC4LazySynthesizesCopyChain(t *testing.T) {
-	c, res := repairAndVerify(t, SC(4), repair.Lazy)
+	c, res := repairAndVerify(t, SC(4), repair.LazyEngine)
 	s := c.Space
 	m := s.M
 
@@ -149,11 +153,11 @@ func TestSC3Cautious(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cautious repair is slow by design")
 	}
-	repairAndVerify(t, SC(3), repair.Cautious)
+	repairAndVerify(t, SC(3), repair.CautiousEngine)
 }
 
 func TestBAFS2Lazy(t *testing.T) {
-	c, res := repairAndVerify(t, BAFS(2), repair.Lazy)
+	c, res := repairAndVerify(t, BAFS(2), repair.LazyEngine)
 	s := c.Space
 	m := s.M
 	// A crashed process must never act: no synthesized transition changes

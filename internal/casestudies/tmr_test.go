@@ -5,17 +5,21 @@ import (
 	"testing"
 
 	"repro/internal/bdd"
+	"repro/internal/program"
 	"repro/internal/repair"
 	"repro/internal/verify"
 )
 
 func TestTMRLazyVerified(t *testing.T) {
 	c := TMR().MustCompile()
-	res, err := repair.Lazy(context.Background(), c, repair.DefaultOptions())
+	res, err := repair.LazyEngine(context.Background(), program.NewEngine(c, 0), repair.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := verify.Result(c, res)
+	rep, err := verify.Result(context.Background(), program.SerialEngine(c), res, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !rep.OK() {
 		t.Fatalf("verification failed:\n%s", rep)
 	}
@@ -47,11 +51,15 @@ func TestTMRLazyVerified(t *testing.T) {
 
 func TestTMRCautiousVerified(t *testing.T) {
 	c := TMR().MustCompile()
-	res, err := repair.Cautious(context.Background(), c, repair.DefaultOptions())
+	res, err := repair.CautiousEngine(context.Background(), program.NewEngine(c, 0), repair.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := verify.Result(c, res); !rep.OK() {
+	rep, err := verify.Result(context.Background(), program.SerialEngine(c), res, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
 		t.Fatalf("verification failed:\n%s", rep)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bdd"
+	"repro/internal/program"
 	"repro/internal/repair"
 	"repro/internal/verify"
 )
@@ -13,11 +14,14 @@ func TestTokenRingLazyVerified(t *testing.T) {
 	for _, tc := range []struct{ n, k int }{{3, 4}, {4, 5}} {
 		d := TokenRing(tc.n, tc.k)
 		c := d.MustCompile()
-		res, err := repair.Lazy(context.Background(), c, repair.DefaultOptions())
+		res, err := repair.LazyEngine(context.Background(), program.NewEngine(c, 0), repair.DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}
-		rep := verify.Result(c, res)
+		rep, err := verify.Result(context.Background(), program.SerialEngine(c), res, false)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !rep.OK() {
 			t.Fatalf("%s: verification failed:\n%s", d.Name, rep)
 		}
@@ -32,7 +36,7 @@ func TestTokenRingLazyVerified(t *testing.T) {
 func TestTokenRingPreservesProtocol(t *testing.T) {
 	d := TokenRing(3, 4)
 	c := d.MustCompile()
-	res, err := repair.Lazy(context.Background(), c, repair.DefaultOptions())
+	res, err := repair.LazyEngine(context.Background(), program.NewEngine(c, 0), repair.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +63,7 @@ func TestTokenRingPreservesProtocol(t *testing.T) {
 func TestTokenRingRecoversFromTwoPrivileges(t *testing.T) {
 	d := TokenRing(3, 4)
 	c := d.MustCompile()
-	res, err := repair.Lazy(context.Background(), c, repair.DefaultOptions())
+	res, err := repair.LazyEngine(context.Background(), program.NewEngine(c, 0), repair.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

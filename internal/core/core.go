@@ -164,11 +164,10 @@ func Run(ctx context.Context, job Job) (out *Outcome, err error) {
 	if job.Verify {
 		phase(job.Options.Phasef, PhaseVerify)
 		t1 := time.Now()
-		backend, err := verify.ParseBackend(string(job.Backend))
-		if err != nil {
+		if _, err := verify.ParseBackend(string(job.Backend)); err != nil {
 			return nil, err
 		}
-		rep, err := verify.ResultBackendEngine(ctx, eng, res, backend, job.Witnesses > 0)
+		rep, err := verify.Result(ctx, eng, res, job.Witnesses > 0)
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +196,7 @@ func Verify(ctx context.Context, c *program.Compiled, res *repair.Result, opts r
 			rep, err = nil, e
 		}
 	}()
-	return verify.ResultBackendEngine(ctx, eng, res, "", false)
+	return verify.Result(ctx, eng, res, false)
 }
 
 // engine builds c's parallel engine and applies opts' manager tuning (node

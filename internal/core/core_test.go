@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bdd"
+	"repro/internal/program"
 	"repro/internal/repair"
 )
 
@@ -72,19 +73,56 @@ func TestRunLiftsItsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rootPastBudget(t, out.Compiled.Space.M, opts.NodeBudget)
+}
+
+// TestAlgorithmsLeaveTheEngineUntuned checks that the repair algorithms
+// leave an engine's tuning to the boundary that built it: run directly on
+// an engine with Options.NodeBudget set, neither arms that budget on the
+// caller's manager, which then holds more live nodes than the budget
+// without a *bdd.BudgetError.
+func TestAlgorithmsLeaveTheEngineUntuned(t *testing.T) {
+	for _, alg := range []struct {
+		name string
+		run  func(context.Context, *program.Engine, repair.Options) (*repair.Result, error)
+	}{
+		{"lazy", repair.LazyEngine},
+		{"cautious", repair.CautiousEngine},
+	} {
+		t.Run(alg.name, func(t *testing.T) {
+			def, err := CaseStudy("sc", 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := def.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := repair.DefaultOptions()
+			opts.NodeBudget = 1 << 16
+			if _, err := alg.run(context.Background(), program.SerialEngine(c), opts); err != nil {
+				t.Fatal(err)
+			}
+			rootPastBudget(t, c.Space.M, opts.NodeBudget)
+		})
+	}
+}
+
+// rootPastBudget roots distinct minterms on m until its live nodes are twice
+// budget, and fails t if a budget still armed on m panics. The collection
+// cadence and sifting are switched off, so the stress variables do not make
+// every And a collection; a budget still armed collects and panics all the
+// same.
+func rootPastBudget(t *testing.T, m *bdd.Manager, budget int64) {
+	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
-			t.Fatalf("the run's budget outlived it: %v", r)
+			t.Fatalf("a budget outlived its call: %v", r)
 		}
 	}()
-	// Root distinct minterms until the live nodes are twice the budget. The
-	// collection cadence and sifting are switched off, so the stress
-	// variables do not make every And a collection; a budget still armed
-	// collects and panics all the same.
-	m := out.Compiled.Space.M
 	m.SetGCThreshold(0)
 	m.SetReorderThreshold(0)
-	for i := 0; m.Size() <= 2*int(opts.NodeBudget); i++ {
+	for i := 0; m.Size() <= 2*int(budget); i++ {
 		f := bdd.True
 		for v := 0; v < m.NumVars(); v++ {
 			if i>>v&1 != 0 {

@@ -64,7 +64,7 @@ func TestExplicitAgrees(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := repair.Lazy(ctx, c, repair.DefaultOptions())
+			res, err := repair.LazyEngine(ctx, program.NewEngine(c, 0), repair.DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,7 +171,7 @@ func TestExplicitAgrees(t *testing.T) {
 func agree(t *testing.T, sys *explicit.System, res *repair.Result, failures map[string]int) *verify.Report {
 	t.Helper()
 	c := sys.C
-	rep, err := verify.ResultWitnessEngine(context.Background(), program.SerialEngine(c), res)
+	rep, err := verify.Result(context.Background(), program.SerialEngine(c), res, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,10 +198,7 @@ func TestSharedDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			synth, err := program.NewEngine(compiled, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
+			synth := program.NewEngine(compiled, 4)
 			var res *repair.Result
 			if tc.alg == CautiousRepair {
 				res, err = repair.CautiousEngine(ctx, synth, splitJob.Options)
@@ -214,14 +211,11 @@ func TestSharedDeterministic(t *testing.T) {
 			if res.Witnesses, err = witness.RecoveryDemos(ctx, compiled, res.Trans, res.Invariant, res.FaultSpan, splitJob.Witnesses); err != nil {
 				t.Fatalf("split witnesses: %v", err)
 			}
-			checker, err := program.NewEngine(compiled, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
+			checker := program.NewEngine(compiled, 4)
 			if checker.Workers() != 4 {
 				t.Fatalf("verification engine has %d workers, want 4", checker.Workers())
 			}
-			rep, err := verify.ResultWitnessEngine(ctx, checker, res)
+			rep, err := verify.Result(ctx, checker, res, true)
 			if err != nil {
 				t.Fatalf("split verification: %v", err)
 			}

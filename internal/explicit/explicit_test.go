@@ -147,11 +147,17 @@ func TestLiteralRealizeMatchesSymbolic(t *testing.T) {
 		sys, c := mustSystem(t, d)
 		s := c.Space
 		m := s.M
-		mask, err := repair.AddMasking(context.Background(), c, c.Invariant, c.BadTrans, repair.DefaultOptions())
+		ctx := context.Background()
+		e := program.SerialEngine(c)
+		mask, err := repair.AddMaskingEngine(ctx, e, c.Invariant, c.BadTrans, repair.DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}
-		symbolicResult := repair.Realize(c, mask.Trans, mask.FaultSpan)
+		parts, err := repair.RealizePartsEngine(ctx, e, mask.Trans, mask.FaultSpan)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		symbolicResult := m.OrN(parts...)
 
 		delta := symbolicTransSet(sys, mask.Trans)
 		span := make(map[State]bool)
@@ -180,7 +186,7 @@ func TestExpandGroupReducesIterations(t *testing.T) {
 	// finalize action insensitive to another process's decision), reducing
 	// pick-loop iterations without changing the result.
 	sys, c := mustSystem(t, casestudies.BA(2))
-	mask, err := repair.AddMasking(context.Background(), c, c.Invariant, c.BadTrans, repair.DefaultOptions())
+	mask, err := repair.AddMaskingEngine(context.Background(), program.SerialEngine(c), c.Invariant, c.BadTrans, repair.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +216,7 @@ func TestExpandGroupReducesIterations(t *testing.T) {
 	// On the chain the expansion never applies (the expanded variants write
 	// a value the specification forbids), and the result is unchanged.
 	sysC, cC := mustSystem(t, casestudies.SC(3))
-	maskC, err := repair.AddMasking(context.Background(), cC, cC.Invariant, cC.BadTrans, repair.DefaultOptions())
+	maskC, err := repair.AddMaskingEngine(context.Background(), program.SerialEngine(cC), cC.Invariant, cC.BadTrans, repair.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +244,7 @@ func TestExpandGroupRejectsWrittenVariable(t *testing.T) {
 func TestCheckMaskingOnRepairedProgram(t *testing.T) {
 	for _, d := range []*program.Def{hiddenModel(), casestudies.BA(2), casestudies.SC(3)} {
 		sys, c := mustSystem(t, d)
-		res, err := repair.Lazy(context.Background(), c, repair.DefaultOptions())
+		res, err := repair.LazyEngine(context.Background(), program.NewEngine(c, 0), repair.DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}

@@ -65,21 +65,6 @@ func (sys *System) Group(p *program.CompiledProc, t Trans) []Trans {
 	return out
 }
 
-// GroupOf returns the group closure of a transition set for process p
-// (write-illegal transitions contribute nothing).
-func (sys *System) GroupOf(p *program.CompiledProc, delta map[Trans]bool) map[Trans]bool {
-	out := make(map[Trans]bool)
-	for t := range delta {
-		if !sys.WriteLegal(p, t) {
-			continue
-		}
-		for _, g := range sys.Group(p, t) {
-			out[g] = true
-		}
-	}
-	return out
-}
-
 // ExpandGroup enlarges a group by dropping variable varIdx (readable but not
 // written) from the readable condition: for every value c of the variable,
 // the group members with the variable fixed at c before and after the

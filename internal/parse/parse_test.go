@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bdd"
+	"repro/internal/program"
 	"repro/internal/repair"
 	"repro/internal/verify"
 )
@@ -53,11 +54,15 @@ func TestParseTraffic(t *testing.T) {
 	}
 	// The parsed model repairs and verifies: the controller must reset the
 	// glitched lamp.
-	res, err := repair.Lazy(context.Background(), c, repair.DefaultOptions())
+	res, err := repair.LazyEngine(context.Background(), program.NewEngine(c, 0), repair.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := verify.Result(c, res); !rep.OK() {
+	rep, err := verify.Result(context.Background(), program.SerialEngine(c), res, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
 		t.Fatalf("verification failed:\n%s", rep)
 	}
 	reset, _ := c.Space.Transition(
@@ -104,11 +109,15 @@ func TestParseChainEquivalentToGenerator(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := def.MustCompile()
-	res, err := repair.Lazy(context.Background(), c, repair.DefaultOptions())
+	res, err := repair.LazyEngine(context.Background(), program.NewEngine(c, 0), repair.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := verify.Result(c, res); !rep.OK() {
+	rep, err := verify.Result(context.Background(), program.SerialEngine(c), res, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
 		t.Fatalf("verification failed:\n%s", rep)
 	}
 	// Dotted variable names survive the round trip.

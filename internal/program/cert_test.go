@@ -26,11 +26,15 @@ func TestCertificateProvesChainAcyclic(t *testing.T) {
 		s := c.Space
 		m := s.M
 		sc := m.Protect()
-		mask, err := repair.AddMasking(context.Background(), c, c.Invariant, c.BadTrans, opts)
+		e := program.SerialEngine(c)
+		mask, err := repair.AddMaskingEngine(context.Background(), e, c.Invariant, c.BadTrans, opts)
 		if err != nil {
 			t.Fatalf("sc(%d): %v", n, err)
 		}
-		_, mt := repair.ComputeMsMt(c, c.BadTrans)
+		_, mt, err := repair.ComputeMsMtEngine(context.Background(), e, c.BadTrans)
+		if err != nil {
+			t.Fatalf("sc(%d): %v", n, err)
+		}
 		sc.Keep(mt)
 		s1, t1 := mask.Invariant, mask.FaultSpan
 		region := sc.Keep(m.Diff(t1, s1))
@@ -43,7 +47,10 @@ func TestCertificateProvesChainAcyclic(t *testing.T) {
 			t.Errorf("sc(%d) Step-1 recovery: verdict %d, want proved", n, v)
 		}
 
-		realized := repair.RealizeParts(c, mask.Trans, mask.FaultSpan)
+		realized, err := repair.RealizePartsEngine(context.Background(), e, mask.Trans, mask.FaultSpan)
+		if err != nil {
+			t.Fatalf("sc(%d): %v", n, err)
+		}
 		for _, p := range realized {
 			sc.Keep(p)
 		}

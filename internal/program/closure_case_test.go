@@ -35,11 +35,16 @@ func stepRelations(t *testing.T, c *program.Compiled, sc *bdd.Scope) (candidate 
 	opts := repair.DefaultOptions()
 	opts.Workers = 1
 	opts.DeferCycleBreaking = true
-	mask, err := repair.AddMasking(context.Background(), c, c.Invariant, c.BadTrans, opts)
+	ctx := context.Background()
+	e := program.SerialEngine(c)
+	mask, err := repair.AddMaskingEngine(ctx, e, c.Invariant, c.BadTrans, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", c.Def.Name, err)
 	}
-	_, mt := repair.ComputeMsMt(c, c.BadTrans)
+	_, mt, err := repair.ComputeMsMtEngine(ctx, e, c.BadTrans)
+	if err != nil {
+		t.Fatalf("%s: %v", c.Def.Name, err)
+	}
 	sc.Keep(mt)
 	s1, t1 := mask.Invariant, mask.FaultSpan
 	region = sc.Keep(m.Diff(t1, s1))
@@ -49,7 +54,11 @@ func stepRelations(t *testing.T, c *program.Compiled, sc *bdd.Scope) (candidate 
 	for _, p := range c.Procs {
 		recovery = append(recovery, sc.Keep(m.And(p.WriteOK, outsideCtx)))
 	}
-	for _, p := range repair.RealizeParts(c, mask.Trans, mask.FaultSpan) {
+	parts, err := repair.RealizePartsEngine(ctx, e, mask.Trans, mask.FaultSpan)
+	if err != nil {
+		t.Fatalf("%s: %v", c.Def.Name, err)
+	}
+	for _, p := range parts {
 		realized = append(realized, sc.Keep(p))
 	}
 	return candidate, region, recovery, realized

@@ -32,7 +32,7 @@ func ParseMode(s string) (Mode, error) {
 // canonical result buffer travels back to be merged on the owner in task
 // order.
 //
-// Only the per-process closures fan out (MapNodes, MapProcs), and only when
+// Only the per-process closures fan out (MapNodes, Split), and only when
 // their shared predicate is large enough to pay for the transfers (see
 // fanoutMinShared). Every reachability fixpoint, and every closure below the
 // gate, runs on the owner and its warm caches. The clones are compiled by
@@ -82,10 +82,10 @@ func ResolveWorkers(n int) int {
 // NewEngine builds an engine over c with the given number of workers (values
 // below 1 select GOMAXPROCS). One worker means the serial engine: every
 // operation runs directly on the owner with no transfer overhead. With more,
-// the worker clones are compiled by the first fan-out that needs them, so
-// the error is nil here; a clone that fails to compile fails that fan-out.
-func NewEngine(c *Compiled, workers int) (*Engine, error) {
-	return &Engine{C: c, width: ResolveWorkers(workers)}, nil
+// the worker clones are compiled by the first fan-out that needs them; a
+// clone that fails to compile fails that fan-out.
+func NewEngine(c *Compiled, workers int) *Engine {
+	return &Engine{C: c, width: ResolveWorkers(workers)}
 }
 
 // NewEngineMode is ParseMode followed by NewEngine. internal/core builds
@@ -95,7 +95,7 @@ func NewEngineMode(c *Compiled, mode Mode, workers int) (*Engine, error) {
 	if _, err := ParseMode(string(mode)); err != nil {
 		return nil, err
 	}
-	return NewEngine(c, workers)
+	return NewEngine(c, workers), nil
 }
 
 // SerialEngine wraps c as a one-worker engine (no clones, no transfer).
@@ -280,14 +280,17 @@ func (e *Engine) MapNodes(ctx context.Context, shared bdd.Node, inputs []bdd.Nod
 	return out, nil
 }
 
-// MapProcs evaluates fn once per process of the program against a shared
-// predicate — the shape of the per-process group-closure fan-outs (Step 2's
-// maximal realizable subsets, the verifier's per-process checks).
-func (e *Engine) MapProcs(ctx context.Context, shared bdd.Node,
-	fn func(c *Compiled, j int, shared bdd.Node) bdd.Node) ([]bdd.Node, error) {
+// Split returns each process's maximal realizable subset of rel, part j being
+// Procs[j].MaxRealizableSubset(rel): Step 2 of the lazy algorithm, the
+// verifier's per-process partition and realizability check (Definitions
+// 19–20), witness extraction's per-process slices and ProgramRealizable all
+// run this one split. It fans out through MapNodes, so like MapNodes'
+// results the parts are unrooted on return: a caller roots them before its
+// next BDD operation.
+func (e *Engine) Split(ctx context.Context, rel bdd.Node) ([]bdd.Node, error) {
 	inputs := make([]bdd.Node, len(e.C.Procs)) // placeholders; tasks are indexed by process
-	return e.MapNodes(ctx, shared, inputs, func(c *Compiled, sh, _ bdd.Node, j int) bdd.Node {
-		return fn(c, j, sh)
+	return e.MapNodes(ctx, rel, inputs, func(c *Compiled, shared, _ bdd.Node, j int) bdd.Node {
+		return c.Procs[j].MaxRealizableSubset(shared)
 	})
 }
 

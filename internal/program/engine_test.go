@@ -1,10 +1,10 @@
 package program
 
-// Tests for the engine's worker path: MapNodes must return the same nodes on
-// the owner and on the pool, the worker clones are compiled only by a
-// fan-out above the gate and inherit the manager settings made before it,
-// and a failed fan-out leaves the engine reusable with no goroutine left
-// behind.
+// Tests for the engine's worker path: MapNodes, and Split through it, must
+// return the same nodes on the owner and on the pool, the worker clones are
+// compiled only by a fan-out above the gate and inherit the manager
+// settings made before it, and a failed fan-out leaves the engine reusable
+// with no goroutine left behind.
 
 import (
 	"context"
@@ -23,12 +23,8 @@ import (
 
 // forcedPool returns a two-worker engine over c that sends every MapNodes
 // call to the pool, however small its shared predicate.
-func forcedPool(t *testing.T, c *Compiled) *Engine {
-	t.Helper()
-	e, err := NewEngine(c, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+func forcedPool(c *Compiled) *Engine {
+	e := NewEngine(c, 2)
 	e.fanoutMin = 1
 	return e
 }
@@ -55,12 +51,6 @@ func randomRel(r *rand.Rand, c *Compiled, k int) bdd.Node {
 	return m.And(rel.Node(), c.Space.ValidTrans())
 }
 
-// closure is Step 2's per-process task: the maximal realizable subset of the
-// shared relation.
-func closure(c *Compiled, j int, shared bdd.Node) bdd.Node {
-	return c.Procs[j].MaxRealizableSubset(shared)
-}
-
 // removeHarmful is cautious Phase 1's per-task shape: a shared harmful set
 // and the process's own relation, from which every group touching the
 // harmful set is removed.
@@ -74,12 +64,12 @@ func removeHarmful(c *Compiled, harmful, dj bdd.Node, j int) bdd.Node {
 }
 
 // fanOutBoth runs both fan-out shapes on e and returns the results, rooted
-// in sc: one closure per process over rel, then one harmful-group removal
-// per process over harmful.
+// in sc: Step 2's split of rel, then one harmful-group removal per process
+// over harmful.
 func fanOutBoth(t *testing.T, e *Engine, sc *bdd.Scope, rel, harmful bdd.Node) []bdd.Node {
 	t.Helper()
 	ctx := context.Background()
-	procs, err := e.MapProcs(ctx, rel, closure)
+	procs, err := e.Split(ctx, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +92,8 @@ func fanOutBoth(t *testing.T, e *Engine, sc *bdd.Scope, rel, harmful bdd.Node) [
 
 // TestMapNodesPoolMatchesOwnerProperty: on the fixpoint property test's
 // random models, and on the certificate corpus whose processes read only
-// part of the state, a forced pool fan-out returns exactly the owner's
+// part of the state, Split's part j on the owner is process j's maximal
+// realizable subset, and a forced pool fan-out returns exactly the owner's
 // nodes.
 func TestMapNodesPoolMatchesOwnerProperty(t *testing.T) {
 	const corpus = 40
@@ -117,8 +108,13 @@ func TestMapNodesPoolMatchesOwnerProperty(t *testing.T) {
 			sc := m.Protect()
 			rel := sc.Keep(m.Or(randomRel(r, c, 8), c.Trans))
 			harmful := sc.Keep(randomRel(r, c, 4))
-			pool := forcedPool(t, c)
+			pool := forcedPool(c)
 			want := fanOutBoth(t, SerialEngine(c), sc, rel, harmful)
+			for j, p := range c.Procs {
+				if mrs := p.MaxRealizableSubset(rel); want[j] != mrs {
+					t.Fatalf("%s: Split's part %d is node %d, the process's maximal realizable subset node %d", d.Name, j, want[j], mrs)
+				}
+			}
 			got := fanOutBoth(t, pool, sc, rel, harmful)
 			if len(pool.workers) != 2 {
 				t.Fatalf("%s: the forced fan-out built %d clones, want 2", d.Name, len(pool.workers))
@@ -197,10 +193,7 @@ func TestEngineBuildsClonesOnlyAboveGate(t *testing.T) {
 	c, sc, big, small := wide(t)
 	defer sc.Release()
 	ctx := context.Background()
-	e, err := NewEngine(c, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewEngine(c, 2)
 	parts := c.PartsWithFaults(bdd.True)
 	if _, err := e.ReachableParts(ctx, c.Invariant, parts); err != nil {
 		t.Fatal(err)
@@ -208,7 +201,7 @@ func TestEngineBuildsClonesOnlyAboveGate(t *testing.T) {
 	if _, err := e.BackwardReachableParts(ctx, c.BadStates, parts); err != nil {
 		t.Fatal(err)
 	}
-	below, err := e.MapProcs(ctx, small, closure)
+	below, err := e.Split(ctx, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +217,7 @@ func TestEngineBuildsClonesOnlyAboveGate(t *testing.T) {
 	if r := e.FixpointStats().Rounds; r != 2 {
 		t.Fatalf("FixpointStats().Rounds = %d after two fixpoints, want 2", r)
 	}
-	above, err := e.MapProcs(ctx, big, closure)
+	above, err := e.Split(ctx, big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +229,7 @@ func TestEngineBuildsClonesOnlyAboveGate(t *testing.T) {
 	}
 	serial := SerialEngine(c)
 	for i, shared := range []bdd.Node{small, big} {
-		want, err := serial.MapProcs(ctx, shared, closure)
+		want, err := serial.Split(ctx, shared)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +277,7 @@ func TestLateClonesInheritSettings(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			c := wideDef(14).MustCompile()
-			e := forcedPool(t, c)
+			e := forcedPool(c)
 			e.tune(func(m *bdd.Manager) { m.SetGCThreshold(row.gc) })
 			e.SetReorderThreshold(row.reorder)
 			if len(c.Procs) != e.Workers() {
@@ -296,7 +289,7 @@ func TestLateClonesInheritSettings(t *testing.T) {
 			var arrived sync.WaitGroup
 			arrived.Add(len(c.Procs))
 			deltas := make([]bdd.Stats, len(c.Procs))
-			_, err := e.MapProcs(context.Background(), c.Trans, func(wc *Compiled, j int, _ bdd.Node) bdd.Node {
+			_, err := e.MapNodes(context.Background(), c.Trans, make([]bdd.Node, len(c.Procs)), func(wc *Compiled, _, _ bdd.Node, j int) bdd.Node {
 				arrived.Done()
 				arrived.Wait()
 				wm := wc.Space.M
@@ -328,7 +321,7 @@ func TestLateClonesFollowOwnerOrder(t *testing.T) {
 	defer sc.Release()
 	m := c.Space.M
 	ctx := context.Background()
-	want, err := SerialEngine(c).MapProcs(ctx, big, closure)
+	want, err := SerialEngine(c).Split(ctx, big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,11 +333,8 @@ func TestLateClonesFollowOwnerOrder(t *testing.T) {
 		order[i], order[j] = order[j], order[i]
 	}
 	m.SetOrder(order)
-	e, err := NewEngine(c, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.MapProcs(ctx, big, closure)
+	e := NewEngine(c, 2)
+	got, err := e.Split(ctx, big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,10 +357,9 @@ func TestFailedFanoutLeavesEngineReusable(t *testing.T) {
 	c, sc, big, _ := wide(t)
 	defer sc.Release()
 	m := c.Space.M
-	e, err := NewEngine(c, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewEngine(c, 2)
+	// Placeholders: the two failing fan-outs run one task per process.
+	tasks := make([]bdd.Node, len(c.Procs))
 
 	// The budget leaves the owner, which holds everything a clone holds
 	// before its task, a margin far below the ~2^14 nodes the task builds
@@ -378,7 +367,7 @@ func TestFailedFanoutLeavesEngineReusable(t *testing.T) {
 	e.SetReorderThreshold(0)
 	m.GC()
 	e.SetNodeBudget(m.Stats().NodesLive + 1000)
-	_, err = e.MapProcs(context.Background(), big, func(wc *Compiled, j int, _ bdd.Node) bdd.Node {
+	_, err := e.MapNodes(context.Background(), big, tasks, func(wc *Compiled, _, _ bdd.Node, _ int) bdd.Node {
 		return pairsOr(wc.Space.M, 1, 13)
 	})
 	var be *bdd.BudgetError
@@ -388,22 +377,22 @@ func TestFailedFanoutLeavesEngineReusable(t *testing.T) {
 	e.SetNodeBudget(0)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err = e.MapProcs(ctx, big, func(wc *Compiled, j int, sh bdd.Node) bdd.Node {
+	_, err = e.MapNodes(ctx, big, tasks, func(wc *Compiled, sh, _ bdd.Node, j int) bdd.Node {
 		cancel()
-		return closure(wc, j, sh)
+		return wc.Procs[j].MaxRealizableSubset(sh)
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled fan-out returned %v, want context.Canceled", err)
 	}
 
-	want, err := SerialEngine(c).MapProcs(context.Background(), big, closure)
+	want, err := SerialEngine(c).Split(context.Background(), big)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range want {
 		sc.Keep(n)
 	}
-	got, err := e.MapProcs(context.Background(), big, closure)
+	got, err := e.Split(context.Background(), big)
 	if err != nil {
 		t.Fatalf("fan-out after the failures: %v", err)
 	}

@@ -2,9 +2,10 @@ package program
 
 // Property test for the frontier-chained fixpoint: on a corpus of random
 // small models, the fixpoint of a serial and of a two-worker engine must be
-// exactly the one the full-set oracle (symbolic.ReachablePartsCtx /
-// BackwardReachablePartsCtx) computes, forward and backward. On failure the model shrinks greedily (dropping one action
-// at a time while the mismatch persists) before reporting.
+// exactly the one the full-set oracle (symbolic.ReachableParts /
+// BackwardReachableParts) computes, forward and backward. On failure the
+// model shrinks greedily (dropping one action at a time while the mismatch
+// persists) before reporting.
 
 import (
 	"context"
@@ -103,17 +104,14 @@ func checkDef(t *testing.T, d *Def, seed int64) string {
 	m.Ref(wantBwd)
 
 	engines := []struct {
-		name  string
-		build func() (*Engine, error)
+		name string
+		e    *Engine
 	}{
-		{"serial", func() (*Engine, error) { return SerialEngine(c), nil }},
-		{"partitioned2", func() (*Engine, error) { return NewEngine(c, 2) }},
+		{"serial", SerialEngine(c)},
+		{"partitioned2", NewEngine(c, 2)},
 	}
 	for _, ec := range engines {
-		e, err := ec.build()
-		if err != nil {
-			return fmt.Sprintf("%s: engine: %v", ec.name, err)
-		}
+		e := ec.e
 		gotFwd, err := e.ReachableParts(context.Background(), init, parts)
 		if err != nil {
 			return fmt.Sprintf("%s forward: %v", ec.name, err)

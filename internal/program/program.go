@@ -7,6 +7,7 @@
 package program
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bdd"
@@ -629,9 +630,7 @@ func (c *Compiled) ProgramRealizable(delta bdd.Node) bool {
 	sc := m.Protect()
 	defer sc.Release()
 	d := sc.Keep(m.And(delta, c.Space.ValidTrans()))
-	union := sc.Slot(bdd.False)
-	for _, p := range c.Procs {
-		union.Set(m.Or(union.Node(), p.MaxRealizableSubset(d)))
-	}
-	return m.Implies(d, union.Node())
+	// A serial split under a context nothing cancels cannot fail.
+	parts, _ := SerialEngine(c).Split(context.TODO(), d)
+	return m.Implies(d, m.OrN(parts...)) // OrN roots the parts
 }

@@ -295,8 +295,8 @@ func TestMaxRealizableSubsetIsMaximal(t *testing.T) {
 }
 
 // TestProgramRealizableKeepsItsRelation: ProgramRealizable holds delta ∧
-// ValidTrans and the running union across several public operations per
-// process. A hundred identical processes of x answer from the caches and
+// ValidTrans and Split's per-process parts across several public operations
+// per process. A hundred identical processes of x answer from the caches and
 // only push the 256-entry recent-results ring, until the relation has left
 // it; the processes of y and z then allocate, so with a collection at
 // every safe point an unrooted relation is freed, its slot reused, and the

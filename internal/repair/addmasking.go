@@ -21,30 +21,24 @@ type Masking struct {
 	Iterations int
 }
 
-// AddMasking implements Step 1 of the lazy-repair algorithm: the
+// AddMaskingEngine implements Step 1 of the lazy-repair algorithm: the
 // polynomial-time Add-Masking algorithm of Kulkarni–Arora, tailored (per
 // Section V-A) to the subset of the state space reachable by the
 // fault-intolerant program in the presence of faults when
-// opts.ReachabilityHeuristic is set.
+// opts.ReachabilityHeuristic is set. Its reachability fixpoints run on the
+// given engine.
 //
 // invariant is the current set of legitimate states S (it shrinks across
 // Algorithm 1's outer iterations), and badTrans is the current Sf_bt (it
 // grows as Algorithm 1 feeds back deadlock information). Bad states Sf_bs
 // and the fault actions come from the compiled program.
 //
-// The returned program ignores read/write restrictions; Realize (Step 2)
-// turns it into a realizable one.
+// The returned program ignores read/write restrictions; Step 2
+// (RealizePartsEngine) turns it into a realizable one.
 //
 // The context is checked at each shrink-fixpoint iteration and inside the
 // symbolic reachability fixpoints, so cancellation aborts the step between
 // symbolic operations.
-func AddMasking(ctx context.Context, c *program.Compiled, invariant, badTrans bdd.Node, opts Options) (*Masking, error) {
-	return AddMaskingEngine(ctx, program.SerialEngine(c), invariant, badTrans, opts)
-}
-
-// AddMaskingEngine is AddMasking running its reachability fixpoints on the
-// given engine, fanning the per-partition images across the engine's worker
-// managers when it has more than one.
 func AddMaskingEngine(ctx context.Context, e *program.Engine, invariant, badTrans bdd.Node, opts Options) (*Masking, error) {
 	c := e.C
 	m := c.Space.M

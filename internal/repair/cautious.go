@@ -8,13 +8,16 @@ import (
 	"repro/internal/program"
 )
 
-// Cautious implements the baseline repair approach of the prior tool
+// CautiousEngine implements the baseline repair approach of the prior tool
 // (Section IV): at every intermediate step the model is kept realizable, so
 // every transition removal removes the transition's whole read-restriction
 // group, and every recovery addition adds a whole group — after checking
 // that no member of the group is harmful. The per-step group computations
 // inside the main fixpoint are what make this approach expensive; lazy
-// repair defers them to a single pass at the end.
+// repair defers them to a single pass at the end. It runs on a
+// caller-supplied engine, which the caller tunes (Options.ApplyEngine): the
+// reachability fixpoints and the per-process group removals of Phase 1 fan
+// out across the engine's workers.
 //
 // Two of the prior tool's heuristics are reproduced:
 //
@@ -26,19 +29,7 @@ import (
 //   - Recovery groups are added layer by layer, and a group is accepted only
 //     if every member strictly decreases the distance to the invariant —
 //     keeping the span cycle-free without a separate cycle-resolution phase.
-func Cautious(ctx context.Context, c *program.Compiled, opts Options) (*Result, error) {
-	eng, err := program.NewEngine(c, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return CautiousEngine(ctx, eng, opts)
-}
-
-// CautiousEngine is Cautious running on a caller-supplied engine: the
-// reachability fixpoints and the per-process group removals of Phase 1 fan
-// out across the engine's workers.
 func CautiousEngine(ctx context.Context, eng *program.Engine, opts Options) (*Result, error) {
-	opts.ApplyEngine(eng)
 	c := eng.C
 	m := c.Space.M
 	s := c.Space

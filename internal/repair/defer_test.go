@@ -42,11 +42,15 @@ func TestDeferCycleBreakingClosesDownUpCycle(t *testing.T) {
 		opts := repair.DefaultOptions()
 		opts.Workers = 1
 		opts.DeferCycleBreaking = deferCycles
-		res, err := repair.Lazy(context.Background(), c, opts)
+		res, err := repair.LazyEngine(context.Background(), program.NewEngine(c, opts.Workers), opts)
 		if err != nil {
 			t.Fatalf("defer=%v: %v", deferCycles, err)
 		}
-		if rep := verify.Result(c, res); !rep.OK() {
+		rep, err := verify.Result(context.Background(), program.SerialEngine(c), res, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() {
 			t.Fatalf("defer=%v: repaired program fails verification: %v", deferCycles, rep.Failures())
 		}
 	}

@@ -153,13 +153,17 @@ func TestFuzzLazySoundness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: generator produced invalid model: %v", i, err)
 		}
-		res, err := repair.Lazy(context.Background(), c, repair.DefaultOptions())
+		res, err := repair.LazyEngine(context.Background(), program.NewEngine(c, 0), repair.DefaultOptions())
 		if err != nil {
 			refused++
 			continue
 		}
 		repaired++
-		if rep := verify.Result(c, res); !rep.OK() {
+		rep, err := verify.Result(context.Background(), program.SerialEngine(c), res, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() {
 			t.Fatalf("iter %d: lazy repair verified false on model %+v:\n%s", i, d, rep)
 		}
 	}
@@ -192,9 +196,9 @@ func TestFuzzLazyCostedSoundness(t *testing.T) {
 			opts := repair.DefaultOptions()
 			opts.ReachabilityHeuristic = heuristic
 			opts.Costs = cm
-			blind, blindErr := repair.Lazy(ctx, c, opts)
+			blind, blindErr := repair.LazyEngine(ctx, program.NewEngine(c, opts.Workers), opts)
 			opts.MinimizeCost = true
-			res, err := repair.Lazy(ctx, c, opts)
+			res, err := repair.LazyEngine(ctx, program.NewEngine(c, opts.Workers), opts)
 			if (err == nil) != (blindErr == nil) {
 				t.Fatalf("iter %d heuristic=%v: verdicts differ: cost-blind %v, cost-aware %v", i, heuristic, blindErr, err)
 			}
@@ -203,7 +207,11 @@ func TestFuzzLazyCostedSoundness(t *testing.T) {
 				continue
 			}
 			repaired++
-			if rep := verify.Result(c, res); !rep.OK() {
+			rep, err := verify.Result(context.Background(), program.SerialEngine(c), res, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.OK() {
 				t.Fatalf("iter %d heuristic=%v: cost-aware repair verified false on model %+v:\n%s", i, heuristic, d, rep)
 			}
 			if res.AchievedCost > blind.AchievedCost {
@@ -237,13 +245,17 @@ func TestFuzzCautiousSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: generator produced invalid model: %v", i, err)
 		}
-		res, err := repair.Cautious(context.Background(), c, repair.DefaultOptions())
+		res, err := repair.CautiousEngine(context.Background(), program.NewEngine(c, 0), repair.DefaultOptions())
 		if err != nil {
 			refused++
 			continue
 		}
 		repaired++
-		if rep := verify.Result(c, res); !rep.OK() {
+		rep, err := verify.Result(context.Background(), program.SerialEngine(c), res, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() {
 			t.Fatalf("iter %d: cautious repair verified false:\n%s", i, rep)
 		}
 	}
@@ -273,11 +285,15 @@ func TestFuzzLazyVariantsSoundness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := repair.Lazy(context.Background(), c, opts)
+			res, err := repair.LazyEngine(context.Background(), program.NewEngine(c, opts.Workers), opts)
 			if err != nil {
 				continue
 			}
-			if rep := verify.Result(c, res); !rep.OK() {
+			rep, err := verify.Result(context.Background(), program.SerialEngine(c), res, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.OK() {
 				t.Fatalf("iter %d variant %d: verified false:\n%s", i, vi, rep)
 			}
 		}
@@ -297,7 +313,7 @@ func TestFuzzProblemStatementContainment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := repair.Lazy(context.Background(), c, repair.DefaultOptions())
+		res, err := repair.LazyEngine(context.Background(), program.NewEngine(c, 0), repair.DefaultOptions())
 		if err != nil {
 			continue
 		}

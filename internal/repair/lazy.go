@@ -9,32 +9,25 @@ import (
 	"repro/internal/witness"
 )
 
-// Lazy implements Algorithm 1: adding masking fault-tolerance to a
-// distributed program via lazy repair.
+// LazyEngine implements Algorithm 1: adding masking fault-tolerance to a
+// distributed program via lazy repair, on a caller-supplied engine, so the
+// engine's worker clones can be shared with the verifier (see
+// internal/core.Run). The caller tunes the engine (Options.ApplyEngine);
+// LazyEngine reads only the synthesis options.
 //
 // Each outer iteration first runs Add-Masking (Step 1, realizability
-// ignored), then Realize (Step 2, realizability enforced by removal). If
-// Step 2's removals created deadlock states inside the fault-span, those
-// states are made unreachable by adding every transition into them — and
-// every transition escaping the fault-span — to the bad-transition part of
-// the safety specification, and the loop repeats (Algorithm 1 lines 10–12).
+// ignored), then Step 2 (RealizePartsEngine, realizability enforced by
+// removal). If Step 2's removals created deadlock states inside the
+// fault-span, those states are made unreachable by adding every transition
+// into them — and every transition escaping the fault-span — to the
+// bad-transition part of the safety specification, and the loop repeats
+// (Algorithm 1 lines 10–12).
 //
 // The context is consulted at fixpoint-iteration boundaries (the outer
 // repeat loop, Step 1's shrink fixpoint, and the long symbolic reachability
 // fixpoints), so a deadline or cancellation aborts a hung synthesis between
 // symbolic steps with an error wrapping ctx.Err().
-func Lazy(ctx context.Context, c *program.Compiled, opts Options) (*Result, error) {
-	eng, err := program.NewEngine(c, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return LazyEngine(ctx, eng, opts)
-}
-
-// LazyEngine is Lazy running on a caller-supplied engine, so the engine's
-// worker clones can be shared with the verifier (see internal/core.Run).
 func LazyEngine(ctx context.Context, eng *program.Engine, opts Options) (*Result, error) {
-	opts.ApplyEngine(eng)
 	c := eng.C
 	m := c.Space.M
 	s := c.Space

@@ -26,26 +26,29 @@ type partsTally struct {
 	outside    int // outside parts that are not empty
 }
 
-// checkRecoveryParts runs AddMasking on c, then the parent's shrink loop,
-// which cuts every process's parts from the inside context S1 ∧ S1′ ∧ ¬mt
-// and the outside context T1 ∧ T1′ ∧ ¬S1 ∧ ¬mt ∧ ¬id ∧ ValidTrans. At each
-// of that loop's iterations it compares repair.RecoveryParts with the cut,
-// and at its end the Masking it builds with AddMasking's. It reports false
-// when Step 1 refuses the model.
+// checkRecoveryParts runs AddMaskingEngine on c, then the parent's shrink
+// loop, which cuts every process's parts from the inside context S1 ∧ S1′ ∧
+// ¬mt and the outside context T1 ∧ T1′ ∧ ¬S1 ∧ ¬mt ∧ ¬id ∧ ValidTrans. At
+// each of that loop's iterations it compares repair.RecoveryParts with the
+// cut, and at its end the Masking it builds with AddMaskingEngine's. It
+// reports false when Step 1 refuses the model.
 func checkRecoveryParts(t *testing.T, c *program.Compiled, opts repair.Options, tally *partsTally) bool {
 	t.Helper()
 	ctx := context.Background()
 	e := program.SerialEngine(c)
 	s := c.Space
 	m := s.M
-	got, gotErr := repair.AddMasking(ctx, c, c.Invariant, c.BadTrans, opts)
+	got, gotErr := repair.AddMaskingEngine(ctx, e, c.Invariant, c.BadTrans, opts)
 	if gotErr != nil && !errors.Is(gotErr, repair.ErrNotRepairable) {
 		t.Fatalf("%s: %v", c.Def.Name, gotErr)
 	}
 
 	sc := m.Protect()
 	defer sc.Release()
-	ms, mt := repair.ComputeMsMt(c, c.BadTrans)
+	ms, mt, err := repair.ComputeMsMtEngine(ctx, e, c.BadTrans)
+	if err != nil {
+		t.Fatalf("%s: %v", c.Def.Name, err)
+	}
 	sc.Keep(ms)
 	notMT := sc.Keep(m.Not(mt))
 	s1 := sc.Slot(m.Diff(c.Invariant, ms))

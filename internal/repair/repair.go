@@ -1,19 +1,24 @@
 // Package repair implements the paper's synthesis algorithms for adding
 // masking fault-tolerance to distributed programs:
 //
-//   - AddMasking: Step 1 — the Kulkarni–Arora Add-Masking algorithm, which
-//     ignores realizability (read/write) constraints, optionally restricted
-//     to the states reachable by the fault-intolerant program in the
-//     presence of faults (the heuristic the paper credits for the speedup).
-//   - Realize: Step 2 — Algorithm 2, which enforces realizability purely by
-//     removing transitions (keeping, per process, only complete
-//     read-restriction groups) after adding free transitions outside the
-//     fault-span.
-//   - Lazy: Algorithm 1 — the outer loop combining the two steps, feeding
-//     deadlocks created by Step 2 back into the safety specification.
-//   - Cautious: the baseline in the style of the prior tool, which keeps the
-//     model realizable after every intermediate add/remove by paying for
-//     group closure inside the main fixpoint.
+//   - AddMaskingEngine: Step 1 — the Kulkarni–Arora Add-Masking algorithm,
+//     which ignores realizability (read/write) constraints, optionally
+//     restricted to the states reachable by the fault-intolerant program in
+//     the presence of faults (the heuristic the paper credits for the
+//     speedup).
+//   - RealizePartsEngine: Step 2 — Algorithm 2, which enforces
+//     realizability purely by removing transitions (keeping, per process,
+//     only complete read-restriction groups) after adding free transitions
+//     outside the fault-span.
+//   - LazyEngine: Algorithm 1 — the outer loop combining the two steps,
+//     feeding deadlocks created by Step 2 back into the safety
+//     specification.
+//   - CautiousEngine: the baseline in the style of the prior tool, which
+//     keeps the model realizable after every intermediate add/remove by
+//     paying for group closure inside the main fixpoint.
+//
+// Each runs on the engine of its caller (program.Engine), which the caller
+// builds and tunes.
 package repair
 
 import (
@@ -172,11 +177,11 @@ func (o *Options) phase(name string) {
 }
 
 // ApplyEngine pushes the manager-tuning options — node budget, reordering
-// cadence — onto an engine's owner and worker managers. Every run boundary
-// that builds an engine (the repair algorithms, the standalone verifier)
-// funnels through it so the knobs mean the same thing everywhere. The
-// collection cadence is the manager default (REPRO_GC_STRESS sets it), which
-// worker clones inherit when they compile.
+// cadence — onto an engine's owner and worker managers. Only the run
+// boundaries that build an engine (internal/core's Run and Verify, and
+// bench/trace.go, which mirrors Run) call it; the algorithms leave the
+// engine as they get it. The collection cadence is the manager default
+// (REPRO_GC_STRESS sets it), which worker clones inherit when they compile.
 func (o *Options) ApplyEngine(eng *program.Engine) {
 	if o.NodeBudget > 0 {
 		eng.SetNodeBudget(o.NodeBudget)
@@ -260,21 +265,15 @@ func srcInto(c *program.Compiled, parts []bdd.Node, from, to bdd.Node) bdd.Node 
 	return m.And(from, out.Node())
 }
 
-// ComputeMsMt computes the set ms of states from which fault transitions
-// alone can violate safety, and the set mt of transitions the fault-tolerant
-// program must never execute (Section V-A). It is exported for the
-// synchronous-semantics extension, which reuses the Add-Masking skeleton.
-func ComputeMsMt(c *program.Compiled, badTrans bdd.Node) (ms, mt bdd.Node) {
-	ms, mt, _ = ComputeMsMtEngine(context.Background(), program.SerialEngine(c), badTrans)
-	return ms, mt
-}
-
-// ComputeMsMtEngine is ComputeMsMt running its fault-closure fixpoint on the
-// engine's unified scheduler. The closure is an ordinary backward
-// reachability under the fault partitions: every compiled action — faults
-// included — is conjoined with ValidTrans, so fault preimages of invalid
-// states are empty and restricting the seed to ValidCur (which
-// BackwardReachableParts does) loses nothing.
+// ComputeMsMtEngine computes the set ms of states from which fault
+// transitions alone can violate safety, and the set mt of transitions the
+// fault-tolerant program must never execute (Section V-A). It is exported
+// for the synchronous-semantics extension, which reuses the Add-Masking
+// skeleton. The fault closure is an ordinary backward reachability under
+// the fault partitions, run on the engine's scheduler: every compiled
+// action — faults included — is conjoined with ValidTrans, so fault
+// preimages of invalid states are empty and restricting the seed to
+// ValidCur (which BackwardReachableParts does) loses nothing.
 func ComputeMsMtEngine(ctx context.Context, e *program.Engine, badTrans bdd.Node) (ms, mt bdd.Node, err error) {
 	c := e.C
 	m := c.Space.M
@@ -347,8 +346,8 @@ func LayeredRecovery(c *program.Compiled, invariant, span, avail bdd.Node, avail
 	// each layer moves its states from one set to the other. So the layer
 	// avail ∧ remaining ∧ ranked′ is into ∧ remaining ∧ ¬remaining′, one
 	// three-operand product, with into = avail ∧ all′ fixed for the loop
-	// (avail itself when, as in AddMasking, avail ends inside the span) and
-	// built only when there is a layer to build.
+	// (avail itself when, as in AddMaskingEngine, avail ends inside the
+	// span) and built only when there is a layer to build.
 	all := sc.Keep(m.Or(invariant, span))
 	into := bdd.False
 	if z != bdd.False {

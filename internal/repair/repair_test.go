@@ -71,7 +71,7 @@ func doomedModel() *program.Def {
 
 func TestAddMaskingFlip(t *testing.T) {
 	c := flipModel().MustCompile()
-	mask, err := AddMasking(context.Background(), c, c.Invariant, c.BadTrans, DefaultOptions())
+	mask, err := AddMaskingEngine(context.Background(), program.SerialEngine(c), c.Invariant, c.BadTrans, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestAddMaskingFlip(t *testing.T) {
 
 func TestLazyFlip(t *testing.T) {
 	c := flipModel().MustCompile()
-	res, err := Lazy(context.Background(), c, DefaultOptions())
+	res, err := LazyEngine(context.Background(), program.NewEngine(c, 0), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestLazyFlip(t *testing.T) {
 
 func TestCautiousFlip(t *testing.T) {
 	c := flipModel().MustCompile()
-	res, err := Cautious(context.Background(), c, DefaultOptions())
+	res, err := CautiousEngine(context.Background(), program.NewEngine(c, 0), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestCautiousFlip(t *testing.T) {
 
 func TestLazyHiddenUsesFreeTransitions(t *testing.T) {
 	c := hiddenModel().MustCompile()
-	res, err := Lazy(context.Background(), c, DefaultOptions())
+	res, err := LazyEngine(context.Background(), program.NewEngine(c, 0), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestLazyHiddenWithoutHeuristic(t *testing.T) {
 	c := hiddenModel().MustCompile()
 	opts := DefaultOptions()
 	opts.ReachabilityHeuristic = false
-	res, err := Lazy(context.Background(), c, opts)
+	res, err := LazyEngine(context.Background(), program.NewEngine(c, opts.Workers), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestCautiousHiddenToleratesUnreachableViolation(t *testing.T) {
 	// Cautious repair keeps the recovery group because the prohibited
 	// member starts from an unreachable state (the Section-IV heuristic).
 	c := hiddenModel().MustCompile()
-	res, err := Cautious(context.Background(), c, DefaultOptions())
+	res, err := CautiousEngine(context.Background(), program.NewEngine(c, 0), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,17 +188,20 @@ func TestCautiousHiddenToleratesUnreachableViolation(t *testing.T) {
 
 func TestDoomedNotRepairable(t *testing.T) {
 	c := doomedModel().MustCompile()
-	if _, err := Lazy(context.Background(), c, DefaultOptions()); !errors.Is(err, ErrNotRepairable) {
+	if _, err := LazyEngine(context.Background(), program.NewEngine(c, 0), DefaultOptions()); !errors.Is(err, ErrNotRepairable) {
 		t.Fatalf("lazy: expected ErrNotRepairable, got %v", err)
 	}
-	if _, err := Cautious(context.Background(), c, DefaultOptions()); !errors.Is(err, ErrNotRepairable) {
+	if _, err := CautiousEngine(context.Background(), program.NewEngine(c, 0), DefaultOptions()); !errors.Is(err, ErrNotRepairable) {
 		t.Fatalf("cautious: expected ErrNotRepairable, got %v", err)
 	}
 }
 
 func TestComputeMsMt(t *testing.T) {
 	c := doomedModel().MustCompile()
-	ms, mt := ComputeMsMt(c, c.BadTrans)
+	ms, mt, err := ComputeMsMtEngine(context.Background(), program.SerialEngine(c), c.BadTrans)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := c.Space
 	// ms = {a=2} ∪ {a=0} (fault leads there).
 	bad, _ := s.State(map[string]int{"a": 2})
@@ -224,18 +227,25 @@ func TestRealizeKeepsCompleteGroupsOnly(t *testing.T) {
 	m := s.M
 	// Intermediate program: just the recovery (1,1)→(1,0).
 	rec, _ := s.Transition(map[string]int{"a": 1, "y": 1}, map[string]int{"a": 1, "y": 0})
+	realize := func(span bdd.Node) bdd.Node {
+		parts, err := RealizePartsEngine(context.Background(), program.SerialEngine(c), rec, span)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.OrN(parts...)
+	}
 
 	// Span covering both group sources: the group twin is missing from
 	// delta and starts inside the span, so the group must die.
 	spanBoth := m.Or(mustState(t, s, map[string]int{"a": 1, "y": 1}),
 		mustState(t, s, map[string]int{"a": 0, "y": 1}))
-	if got := Realize(c, rec, m.Or(spanBoth, c.Invariant)); m.Implies(rec, got) {
+	if got := realize(m.Or(spanBoth, c.Invariant)); m.Implies(rec, got) {
 		t.Fatal("group-incomplete recovery should have been removed")
 	}
 
 	// Span excluding the twin's source: the twin is free, group survives.
 	spanOne := m.Or(mustState(t, s, map[string]int{"a": 1, "y": 1}), c.Invariant)
-	if got := Realize(c, rec, spanOne); !m.Implies(rec, got) {
+	if got := realize(spanOne); !m.Implies(rec, got) {
 		t.Fatal("recovery with free twin should survive")
 	}
 }
@@ -303,7 +313,7 @@ func TestInvariantDeadlocksAreLegalRests(t *testing.T) {
 		Invariant: expr.Or(expr.Eq("v", 0), expr.Eq("v", 1)),
 	}
 	c := d.MustCompile()
-	res, err := Lazy(context.Background(), c, DefaultOptions())
+	res, err := LazyEngine(context.Background(), program.NewEngine(c, 0), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +331,7 @@ func TestOptionsLogf(t *testing.T) {
 	var lines int
 	opts := DefaultOptions()
 	opts.Logf = func(string, ...any) { lines++ }
-	if _, err := Lazy(context.Background(), c, opts); err != nil {
+	if _, err := LazyEngine(context.Background(), program.NewEngine(c, opts.Workers), opts); err != nil {
 		t.Fatal(err)
 	}
 	if lines == 0 {

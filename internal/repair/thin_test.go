@@ -26,7 +26,7 @@ import (
 func lazyExact(ctx context.Context, c *program.Compiled, opts repair.Options) (*repair.Result, error) {
 	*repair.ThinAlwaysExact = true
 	defer func() { *repair.ThinAlwaysExact = false }()
-	return repair.Lazy(ctx, c, opts)
+	return repair.LazyEngine(ctx, program.NewEngine(c, opts.Workers), opts)
 }
 
 // sameResult fails the test unless a and b are the same synthesized program:
@@ -123,10 +123,7 @@ func TestThinLocalCommitMatchesExact(t *testing.T) {
 						if weighted {
 							opts.Costs = drawWeights(d, rand.New(rand.NewSource(15)), 1)
 						}
-						eng, err := program.NewEngine(c, 1)
-						if err != nil {
-							t.Fatal(err)
-						}
+						eng := program.NewEngine(c, 1)
 						atThin := int64(-1)
 						opts.Phasef = func(phase string) {
 							if phase == "thin" {
@@ -216,7 +213,7 @@ func TestThinCancellationReleasesScopes(t *testing.T) {
 				ctx.armed.Store(true)
 			}
 		}
-		if _, err := repair.Lazy(ctx, c, opts); !errors.Is(err, context.Canceled) {
+		if _, err := repair.LazyEngine(ctx, program.NewEngine(c, opts.Workers), opts); !errors.Is(err, context.Canceled) {
 			t.Fatalf("k=%d: got %v, want an error wrapping context.Canceled", k, err)
 		}
 		// Cycle the recent-result ring with terminal-valued results, so only

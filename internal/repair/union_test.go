@@ -118,14 +118,19 @@ func checkUnion(t *testing.T, c *program.Compiled, tally *unionTally) bool {
 	opts := repair.DefaultOptions()
 	opts.Workers = 1
 	opts.DeferCycleBreaking = true
-	mask, err := repair.AddMasking(context.Background(), c, c.Invariant, c.BadTrans, opts)
+	ctx := context.Background()
+	e := program.SerialEngine(c)
+	mask, err := repair.AddMaskingEngine(ctx, e, c.Invariant, c.BadTrans, opts)
 	if errors.Is(err, repair.ErrNotRepairable) {
 		return false
 	}
 	if err != nil {
 		t.Fatalf("%s: %v", c.Def.Name, err)
 	}
-	_, mt := repair.ComputeMsMt(c, c.BadTrans)
+	_, mt, err := repair.ComputeMsMtEngine(ctx, e, c.BadTrans)
+	if err != nil {
+		t.Fatalf("%s: %v", c.Def.Name, err)
+	}
 	sc.Keep(mt)
 	s1 := mask.Invariant
 	for _, span := range []bdd.Node{mask.FaultSpan, s.ValidCur()} {
@@ -158,7 +163,10 @@ func checkUnion(t *testing.T, c *program.Compiled, tally *unionTally) bool {
 		}
 	}
 
-	parts := repair.RealizeParts(c, mask.Trans, mask.FaultSpan)
+	parts, err := repair.RealizePartsEngine(ctx, e, mask.Trans, mask.FaultSpan)
+	if err != nil {
+		t.Fatalf("%s: %v", c.Def.Name, err)
+	}
 	for _, p := range parts {
 		sc.Keep(p)
 	}

@@ -6,12 +6,13 @@ import (
 
 	"repro/internal/casestudies"
 	"repro/internal/expr"
+	"repro/internal/program"
 	"repro/internal/repair"
 )
 
 func TestRepairedBAIsCleanUnderSimulation(t *testing.T) {
 	c := casestudies.BA(3).MustCompile()
-	res, err := repair.Lazy(context.Background(), c, repair.DefaultOptions())
+	res, err := repair.LazyEngine(context.Background(), program.NewEngine(c, 0), repair.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestOriginalBAViolatesUnderSimulation(t *testing.T) {
 
 func TestRepairedChainRecovers(t *testing.T) {
 	c := casestudies.SC(4).MustCompile()
-	res, err := repair.Lazy(context.Background(), c, repair.DefaultOptions())
+	res, err := repair.LazyEngine(context.Background(), program.NewEngine(c, 0), repair.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

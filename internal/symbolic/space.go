@@ -10,7 +10,6 @@
 package symbolic
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -253,16 +252,6 @@ func (s *Space) Reachable(init, trans bdd.Node) bdd.Node {
 // time) this keeps intermediate sets near product form and avoids the
 // exponential counting sets a breadth-first frontier builds.
 func (s *Space) ReachableParts(init bdd.Node, parts []bdd.Node) bdd.Node {
-	out, _ := s.ReachablePartsCtx(context.Background(), init, parts)
-	return out
-}
-
-// ReachablePartsCtx is ReachableParts with cancellation: the context is
-// checked at every image-application boundary, so a caller's deadline
-// interrupts even a fixpoint whose per-step images are cheap but whose
-// iteration count is huge. On cancellation it returns ctx.Err() and the
-// (sound but incomplete) set reached so far.
-func (s *Space) ReachablePartsCtx(ctx context.Context, init bdd.Node, parts []bdd.Node) (bdd.Node, error) {
 	m := s.M
 	sc := m.Protect()
 	defer sc.Release()
@@ -277,9 +266,6 @@ func (s *Space) ReachablePartsCtx(ctx context.Context, init bdd.Node, parts []bd
 				continue
 			}
 			for {
-				if err := ctx.Err(); err != nil {
-					return reached.Node(), err
-				}
 				img := m.Diff(s.Image(reached.Node(), p), reached.Node())
 				if img == bdd.False {
 					break
@@ -289,7 +275,7 @@ func (s *Space) ReachablePartsCtx(ctx context.Context, init bdd.Node, parts []bd
 			}
 		}
 		if !changed {
-			return reached.Node(), nil
+			return reached.Node()
 		}
 	}
 }
@@ -297,13 +283,6 @@ func (s *Space) ReachablePartsCtx(ctx context.Context, init bdd.Node, parts []bd
 // BackwardReachableParts is the partitioned-with-chaining form of
 // BackwardReachable.
 func (s *Space) BackwardReachableParts(target bdd.Node, parts []bdd.Node) bdd.Node {
-	out, _ := s.BackwardReachablePartsCtx(context.Background(), target, parts)
-	return out
-}
-
-// BackwardReachablePartsCtx is BackwardReachableParts with cancellation,
-// checked at every preimage-application boundary (see ReachablePartsCtx).
-func (s *Space) BackwardReachablePartsCtx(ctx context.Context, target bdd.Node, parts []bdd.Node) (bdd.Node, error) {
 	m := s.M
 	sc := m.Protect()
 	defer sc.Release()
@@ -325,9 +304,6 @@ func (s *Space) BackwardReachablePartsCtx(ctx context.Context, target bdd.Node, 
 			// than the set itself on these models.)
 			frontier.Set(reached.Node())
 			for {
-				if err := ctx.Err(); err != nil {
-					return reached.Node(), err
-				}
 				pre := m.Diff(s.Preimage(frontier.Node(), p), reached.Node())
 				if pre == bdd.False {
 					break
@@ -338,7 +314,7 @@ func (s *Space) BackwardReachablePartsCtx(ctx context.Context, target bdd.Node, 
 			}
 		}
 		if !changed {
-			return reached.Node(), nil
+			return reached.Node()
 		}
 	}
 }

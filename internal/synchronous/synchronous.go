@@ -18,6 +18,7 @@
 package synchronous
 
 import (
+	"context"
 	"errors"
 	"time"
 
@@ -323,7 +324,10 @@ func (sc *syncCompiled) addMasking(invariant, badTrans bdd.Node, opts repair.Opt
 
 	psc := m.Protect()
 	defer psc.Release()
-	ms, mt := repair.ComputeMsMt(c, badTrans)
+	ms, mt, err := repair.ComputeMsMtEngine(context.TODO(), program.SerialEngine(c), badTrans)
+	if err != nil {
+		return nil, err
+	}
 	psc.Keep(ms)
 	psc.Keep(mt)
 	notMT := psc.Keep(m.Not(mt))

@@ -22,9 +22,8 @@ import (
 )
 
 // Backend names a verification engine. BDDs are the only one, so Backend,
-// ParseBackend and ResultBackendEngine's backend parameter select nothing;
-// they remain only because bench/trace.go and internal/core compile against
-// them.
+// ParseBackend and ResultBackendEngine select nothing; they remain only
+// because bench/trace.go and internal/core compile against them.
 type Backend string
 
 // ParseBackend accepts "" and "bdd" and rejects every other name. Only
@@ -34,6 +33,12 @@ func ParseBackend(s string) (Backend, error) {
 		return "", fmt.Errorf("verify: unknown backend %q (want \"bdd\")", s)
 	}
 	return "bdd", nil
+}
+
+// ResultBackendEngine is Result; the backend is ignored. Only bench/trace.go
+// calls it.
+func ResultBackendEngine(ctx context.Context, e *program.Engine, res *repair.Result, _ Backend, withWitness bool) (*Report, error) {
+	return Result(ctx, e, res, withWitness)
 }
 
 // Check is one verified property. The JSON tags make reports embeddable in
@@ -47,10 +52,9 @@ type Check struct {
 	// may care about (e.g. progress lost to new invariant deadlocks).
 	Warning bool `json:"warning,omitempty"`
 	// Witness, when non-nil, is a concrete replayable trace demonstrating
-	// the failure (see ResultWitnessEngine). It is attached only to failed
-	// checks with a trace-shaped failure mode: reachable bad
-	// states/transitions, deadlocks, livelocks, and unrealizable
-	// transitions.
+	// the failure (see Result). It is attached only to failed checks with a
+	// trace-shaped failure mode: reachable bad states/transitions,
+	// deadlocks, livelocks, and unrealizable transitions.
 	Witness *witness.Trace `json:"witness,omitempty"`
 }
 
@@ -128,34 +132,19 @@ func (r *Report) attach(name string, tr *witness.Trace) {
 	}
 }
 
-// Result verifies a repair result against the compiled program it was
-// synthesized from, on the serial engine.
-func Result(c *program.Compiled, res *repair.Result) *Report {
-	rep, _ := resultEngine(context.Background(), program.SerialEngine(c), res, false)
-	return rep
-}
-
-// ResultWitnessEngine verifies res with the per-process predicates (the
-// maximal realizable subsets every safety and realizability check builds on)
-// fanned out across the engine's workers, and attaches witnesses: every
-// failed check with a trace-shaped failure mode carries a concrete Trace
-// that witness.Certify confirms. The checks themselves do not depend on the
-// fan-out — canonical BDDs make it invisible to the verdict. Extraction runs
-// serially on the engine's owner manager from the same canonical fixpoint
-// sets the checks computed, so the attached witnesses are byte-identical
-// across worker counts. The error is non-nil only on context cancellation.
-func ResultWitnessEngine(ctx context.Context, e *program.Engine, res *repair.Result) (*Report, error) {
-	return resultEngine(ctx, e, res, true)
-}
-
-// ResultBackendEngine is ResultWitnessEngine when withWitness is set and the
-// same checks without witnesses otherwise; the backend is ignored. Only
-// bench/trace.go and internal/core call it.
-func ResultBackendEngine(ctx context.Context, e *program.Engine, res *repair.Result, _ Backend, withWitness bool) (*Report, error) {
-	return resultEngine(ctx, e, res, withWitness)
-}
-
-func resultEngine(ctx context.Context, e *program.Engine, res *repair.Result, withWitness bool) (*Report, error) {
+// Result verifies res against the compiled program e.C it was synthesized
+// from, with the per-process predicates (the maximal realizable subsets
+// every safety and realizability check builds on) split across the
+// engine's workers. The checks themselves do not depend on the fan-out —
+// canonical BDDs make it invisible to the verdict. With withWitness set,
+// every failed check with a trace-shaped failure mode carries a concrete
+// Trace that witness.Certify confirms. Extraction runs serially on the
+// engine's owner manager from the same canonical fixpoint sets the checks
+// computed, so the attached witnesses are byte-identical across worker
+// counts. The error is non-nil on context cancellation and when a fan-out
+// fails (a worker clone over its node budget, or one that fails to
+// compile).
+func Result(ctx context.Context, e *program.Engine, res *repair.Result, withWitness bool) (*Report, error) {
 	c := e.C
 	m := c.Space.M
 	s := c.Space
@@ -187,9 +176,7 @@ func resultEngine(ctx context.Context, e *program.Engine, res *repair.Result, wi
 	// Partition the program's transitions by process for image computation;
 	// every realizable δ' is covered by its per-process maximal realizable
 	// subsets, and faults are partitioned per action.
-	procParts, err := e.MapProcs(ctx, trans, func(wc *program.Compiled, j int, tr bdd.Node) bdd.Node {
-		return wc.Procs[j].MaxRealizableSubset(tr)
-	})
+	procParts, err := e.Split(ctx, trans)
 	if err != nil {
 		return nil, err
 	}

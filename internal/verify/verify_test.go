@@ -33,7 +33,7 @@ func twoBit() *program.Compiled {
 
 func goodResult(t *testing.T, c *program.Compiled) *repair.Result {
 	t.Helper()
-	res, err := repair.Lazy(context.Background(), c, repair.DefaultOptions())
+	res, err := repair.LazyEngine(context.Background(), program.NewEngine(c, 0), repair.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func goodResult(t *testing.T, c *program.Compiled) *repair.Result {
 func TestVerifyAcceptsCorrectRepair(t *testing.T) {
 	c := twoBit()
 	res := goodResult(t, c)
-	rep := Result(c, res)
+	rep := serial(t, c, res)
 	if !rep.OK() {
 		t.Fatalf("correct repair rejected:\n%s", rep)
 	}
@@ -53,6 +53,16 @@ func TestVerifyAcceptsCorrectRepair(t *testing.T) {
 	if !strings.Contains(rep.String(), "ok") {
 		t.Fatal("report rendering broken")
 	}
+}
+
+// serial verifies res on c's serial engine without witnesses.
+func serial(t *testing.T, c *program.Compiled, res *repair.Result) *Report {
+	t.Helper()
+	rep, err := Result(context.Background(), program.SerialEngine(c), res, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
 func mustFail(t *testing.T, rep *Report, name string) {
@@ -73,7 +83,7 @@ func TestDetectsEmptyInvariant(t *testing.T) {
 	res := goodResult(t, c)
 	bad := *res
 	bad.Invariant = bdd.False
-	mustFail(t, Result(c, &bad), "invariant nonempty")
+	mustFail(t, serial(t, c, &bad), "invariant nonempty")
 }
 
 func TestDetectsInvariantEscape(t *testing.T) {
@@ -82,7 +92,7 @@ func TestDetectsInvariantEscape(t *testing.T) {
 	bad := *res
 	// Claim a bigger invariant than the original: S' ⊄ S.
 	bad.Invariant = c.Space.ValidCur()
-	mustFail(t, Result(c, &bad), "invariant subset of original")
+	mustFail(t, serial(t, c, &bad), "invariant subset of original")
 }
 
 func TestDetectsNewBehaviorInsideInvariant(t *testing.T) {
@@ -95,7 +105,7 @@ func TestDetectsNewBehaviorInsideInvariant(t *testing.T) {
 	extra, _ := s.Transition(map[string]int{"a": 0, "y": 0}, map[string]int{"a": 0, "y": 1})
 	bad := *res
 	bad.Trans = s.M.Or(bad.Trans, extra)
-	rep := Result(c, &bad)
+	rep := serial(t, c, &bad)
 	if rep.OK() {
 		t.Fatalf("expected failure:\n%s", rep)
 	}
@@ -106,7 +116,7 @@ func TestDetectsDeadlockOutsideInvariant(t *testing.T) {
 	res := goodResult(t, c)
 	bad := *res
 	bad.Trans = bdd.False // no recovery at all
-	mustFail(t, Result(c, &bad), "no deadlock outside invariant")
+	mustFail(t, serial(t, c, &bad), "no deadlock outside invariant")
 }
 
 func TestDetectsLivelock(t *testing.T) {
@@ -124,7 +134,7 @@ func TestDetectsLivelock(t *testing.T) {
 	bad := *res
 	bad.Trans = m.OrN(bad.Trans, up, down)
 	bad.FaultSpan = s.ValidCur() // claim everything, so a=1,y≠0 is outside S' in span
-	rep := Result(c, &bad)
+	rep := serial(t, c, &bad)
 	if rep.OK() {
 		t.Fatalf("expected livelock detection:\n%s", rep)
 	}
@@ -138,7 +148,7 @@ func TestDetectsUnrealizableTransitions(t *testing.T) {
 	illegal, _ := s.Transition(map[string]int{"a": 0, "y": 1}, map[string]int{"a": 1, "y": 1})
 	bad := *res
 	bad.Trans = s.M.Or(bad.Trans, illegal)
-	mustFail(t, Result(c, &bad), "transitions decompose into processes")
+	mustFail(t, serial(t, c, &bad), "transitions decompose into processes")
 }
 
 func TestDetectsSpanEscape(t *testing.T) {
@@ -147,7 +157,7 @@ func TestDetectsSpanEscape(t *testing.T) {
 	bad := *res
 	// Shrink the span below the reachable set: closure must fail.
 	bad.FaultSpan = bad.Invariant
-	rep := Result(c, &bad)
+	rep := serial(t, c, &bad)
 	if rep.OK() {
 		t.Fatalf("expected span-closure failure:\n%s", rep)
 	}
@@ -175,7 +185,7 @@ func TestNewInvariantDeadlockIsWarningOnly(t *testing.T) {
 		Invariant: c.Invariant,
 		FaultSpan: c.Invariant,
 	}
-	rep := Result(c, res)
+	rep := serial(t, c, res)
 	if !rep.OK() {
 		t.Fatalf("warning-only condition failed the report:\n%s", rep)
 	}
@@ -216,7 +226,7 @@ func TestDetectsReachableBadState(t *testing.T) {
 	bad := *res
 	bad.Trans = s.M.OrN(bad.Trans, viaBad, back)
 	bad.FaultSpan = s.ValidCur()
-	mustFail(t, Result(c, &bad), "no reachable bad state")
+	mustFail(t, serial(t, c, &bad), "no reachable bad state")
 }
 
 func TestLivenessLeadsTo(t *testing.T) {
@@ -240,7 +250,7 @@ func TestLivenessLeadsTo(t *testing.T) {
 	}
 	c := d.MustCompile()
 	res := &repair.Result{Trans: c.Trans, Invariant: c.Invariant, FaultSpan: c.Invariant}
-	rep := Result(c, res)
+	rep := serial(t, c, res)
 	if !rep.OK() {
 		t.Fatalf("rotor should satisfy 0 ↝ 2:\n%s", rep)
 	}
@@ -253,7 +263,7 @@ func TestLivenessLeadsTo(t *testing.T) {
 		Invariant: c.Invariant,
 		FaultSpan: c.Invariant,
 	}
-	mustFail(t, Result(c, broken), "liveness zero-to-two")
+	mustFail(t, serial(t, c, broken), "liveness zero-to-two")
 }
 
 func TestLivenessWithCycleEscape(t *testing.T) {
@@ -277,5 +287,5 @@ func TestLivenessWithCycleEscape(t *testing.T) {
 	}
 	c := d.MustCompile()
 	res := &repair.Result{Trans: c.Trans, Invariant: c.Invariant, FaultSpan: c.Invariant}
-	mustFail(t, Result(c, res), "liveness reach-two")
+	mustFail(t, serial(t, c, res), "liveness reach-two")
 }

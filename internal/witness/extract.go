@@ -61,26 +61,28 @@ func (x *Extractor) stateNode(state map[string]int) bdd.Node {
 }
 
 // parts builds the labeled partition list: per-process slices of trans (each
-// process's maximal realizable subset, mirroring the verifier's partitioning)
-// followed by an anonymous remainder slice (transitions of trans no single
-// process realizes — they still belong to the relation being witnessed), and
-// finally the per-action fault slices.
+// process's maximal realizable subset, the verifier's partitioning, split on
+// the serial engine) followed by an anonymous remainder slice (transitions
+// of trans no single process realizes — they still belong to the relation
+// being witnessed), and finally the per-action fault slices.
 func (x *Extractor) parts(sc *bdd.Scope, trans bdd.Node, withFaults bool) []part {
 	c := x.c
 	m := c.Space.M
 	trans = sc.Keep(m.And(trans, c.Space.ValidTrans()))
-	var out []part
-	union := sc.Slot(bdd.False)
-	for _, p := range c.Procs {
+	// A serial split under a context nothing cancels cannot fail.
+	subs, _ := program.SerialEngine(c).Split(context.TODO(), trans)
+	for _, sub := range subs {
 		// Each slice is used for the caller's whole reconstruction, so it is
 		// rooted in the caller's scope.
-		sub := sc.Keep(p.MaxRealizableSubset(trans))
-		union.Set(m.Or(union.Node(), sub))
+		sc.Keep(sub)
+	}
+	var out []part
+	for j, sub := range subs {
 		if sub != bdd.False {
-			out = append(out, part{rel: sub, kind: StepProgram, by: p.Name})
+			out = append(out, part{rel: sub, kind: StepProgram, by: c.Procs[j].Name})
 		}
 	}
-	if rest := m.Diff(trans, union.Node()); rest != bdd.False {
+	if rest := m.Diff(trans, m.OrN(subs...)); rest != bdd.False {
 		out = append(out, part{rel: sc.Keep(rest), kind: StepProgram})
 	}
 	if withFaults {
@@ -340,11 +342,11 @@ func (x *Extractor) Unrealizable(ctx context.Context, trans bdd.Node) (*Trace, e
 	sc := m.Protect()
 	defer sc.Release()
 	d := sc.Keep(m.And(trans, s.ValidTrans()))
-	union := sc.Slot(bdd.False)
-	for _, p := range c.Procs {
-		union.Set(m.Or(union.Node(), p.MaxRealizableSubset(d)))
+	subs, err := program.SerialEngine(c).Split(ctx, d)
+	if err != nil {
+		return nil, fmt.Errorf("witness: extraction interrupted: %w", err)
 	}
-	resid := sc.Keep(m.Diff(d, union.Node()))
+	resid := sc.Keep(m.Diff(d, m.OrN(subs...))) // OrN roots the parts
 	if resid == bdd.False {
 		return nil, nil
 	}

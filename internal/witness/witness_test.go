@@ -59,7 +59,7 @@ func TestOriginalProgramFailuresHaveCertifiedWitnesses(t *testing.T) {
 			// invariant, with the whole state space as the claimed span (the
 			// original program certifies no fault-span of its own).
 			res := &repair.Result{Trans: c.Trans, Invariant: c.Invariant, FaultSpan: c.Space.ValidCur()}
-			rep, err := verify.ResultWitnessEngine(context.Background(), program.SerialEngine(c), res)
+			rep, err := verify.Result(context.Background(), program.SerialEngine(c), res, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +109,7 @@ func TestRecoveryDemosCertifiedAndReplayable(t *testing.T) {
 	for _, tc := range caseInstances {
 		t.Run(tc.name, func(t *testing.T) {
 			c := compileCase(t, tc.name, tc.n)
-			res, err := repair.Lazy(context.Background(), c, repair.DefaultOptions())
+			res, err := repair.LazyEngine(context.Background(), program.NewEngine(c, 0), repair.DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +161,7 @@ func TestRecoveryDemosCertifiedAndReplayable(t *testing.T) {
 // be detected.
 func TestCertifyRejectsTamperedTraces(t *testing.T) {
 	c := compileCase(t, "sc", 4)
-	res, err := repair.Lazy(context.Background(), c, repair.DefaultOptions())
+	res, err := repair.LazyEngine(context.Background(), program.NewEngine(c, 0), repair.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestCertifyRejectsTamperedTraces(t *testing.T) {
 // extraction rather than letting a long reconstruction blow a job deadline.
 func TestExtractionHonorsCancellation(t *testing.T) {
 	c := compileCase(t, "sc", 4)
-	res, err := repair.Lazy(context.Background(), c, repair.DefaultOptions())
+	res, err := repair.LazyEngine(context.Background(), program.NewEngine(c, 0), repair.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
